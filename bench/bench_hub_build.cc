@@ -16,7 +16,7 @@
 //
 // perf-smoke records the --json output as BENCH_PR9.json. The bench
 // FAILS if the best-order grid avg |L| exceeds 4x the best-order road
-// avg |L| — the separator order must tame meshes, not just win rows.
+// avg |L| — the betweenness order must tame meshes, not just win rows.
 // --scale=large selects the production-scale presets (>= 100k-node
 // generator configs).
 
@@ -76,8 +76,6 @@ const char* OrderName(index::HubOrder order) {
       return "degree";
     case index::HubOrder::kRandom:
       return "random";
-    case index::HubOrder::kPartition:
-      return "partition";
     case index::HubOrder::kBetweennessApprox:
       return "betweenness";
   }
@@ -144,14 +142,14 @@ int main(int argc, char** argv) {
                        "fin(s)", "avg|L|", "max|L|", "entries",
                        "pruned"});
     for (index::HubOrder order :
-         {index::HubOrder::kDegreeDesc, index::HubOrder::kPartition,
+         {index::HubOrder::kDegreeDesc,
           index::HubOrder::kBetweennessApprox}) {
       if (is_grid && order == index::HubOrder::kDegreeDesc &&
           skip_grid_degree) {
         std::printf(
             "note: skipping grid x degree above --scale=small — degree "
             "order degenerates on meshes (~84 s / avg|L| ~2237 on the "
-            "6400-node grid); the partition row below is the fix.\n");
+            "6400-node grid); the betweenness row below is the fix.\n");
         continue;
       }
       index::HubLabelBuildOptions opts;
@@ -315,7 +313,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The acceptance bar: the separator order must bring mesh labels into
+  // The acceptance bar: the betweenness order must bring mesh labels into
   // the same regime as road labels (<= 4x), or grids are still the
   // pathological family the PR set out to fix.
   std::printf("\ngrid best avg|L|=%.1f, road best avg|L|=%.1f (gate: "

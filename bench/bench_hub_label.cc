@@ -40,6 +40,10 @@ namespace {
 struct WorldCase {
   std::string name;
   graph::Graph g;
+  // Hub order with the smallest labels on this family (bench_hub_build):
+  // betweenness on meshes, where no node's degree stands out; degree
+  // elsewhere.
+  index::HubOrder order = index::HubOrder::kDegreeDesc;
 };
 
 std::vector<WorldCase> MakeWorlds(const BenchArgs& args) {
@@ -49,7 +53,8 @@ std::vector<WorldCase> MakeWorlds(const BenchArgs& args) {
     cfg.rows = args.pick<uint32_t>(40u, 80u, 160u);
     cfg.cols = cfg.rows;
     cfg.seed = args.seed;
-    worlds.push_back({"grid", gen::GenerateGrid(cfg).ValueOrDie()});
+    worlds.push_back({"grid", gen::GenerateGrid(cfg).ValueOrDie(),
+                      index::HubOrder::kBetweennessApprox});
   }
   {
     gen::BriteConfig cfg;
@@ -293,10 +298,8 @@ int main(int argc, char** argv) {
     auto queries = gen::SampleQueryPoints(points, args.queries, rng);
     graph::GraphView view(&world.g);
 
-    // Partition (separator) hub order: the production default — far
-    // smaller labels than degree order on meshes, same exactness.
     index::HubLabelBuildOptions build_opts;
-    build_opts.order = index::HubOrder::kPartition;
+    build_opts.order = world.order;
     index::HubLabelBuildStats build_stats;
     WallTimer build_timer;
     auto labels =
@@ -304,9 +307,12 @@ int main(int argc, char** argv) {
             .ValueOrDie();
     const double build_s = build_timer.ElapsedSeconds();
     std::printf(
-        "%s build: order=partition %.3fs (order %.3fs, traverse %.3fs, "
+        "%s build: order=%s %.3fs (order %.3fs, traverse %.3fs, "
         "finalize %.3fs), avg|L|=%.1f max|L|=%zu, pruned_pops=%llu\n",
-        world.name.c_str(), build_s, build_stats.order_s,
+        world.name.c_str(),
+        world.order == index::HubOrder::kDegreeDesc ? "degree"
+                                                    : "betweenness",
+        build_s, build_stats.order_s,
         build_stats.traverse_s, build_stats.finalize_s,
         build_stats.avg_label_size, build_stats.max_label_size,
         static_cast<unsigned long long>(build_stats.pruned_pops));

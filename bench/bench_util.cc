@@ -120,6 +120,25 @@ void StoredRestricted::ResetPool(size_t pages,
   }
 }
 
+namespace {
+
+// Cluster KNN lists like the adjacency pages (the GraphFile's default
+// order), so local expansions touch few distinct KNN pages.
+Result<std::unique_ptr<storage::KnnFile>> CreateClusteredKnnFile(
+    const graph::Graph& g, storage::DiskManager* disk, uint32_t K) {
+  const std::vector<NodeId> order =
+      storage::ComputeNodeOrder(g, storage::GraphFileOptions{}.order);
+  std::vector<NodeId> slot_of(g.num_nodes());
+  for (NodeId i = 0; i < g.num_nodes(); ++i) {
+    slot_of[order[i]] = i;
+  }
+  GRNN_ASSIGN_OR_RETURN(
+      auto knn, storage::KnnFile::Create(disk, g.num_nodes(), K, &slot_of));
+  return std::make_unique<storage::KnnFile>(std::move(knn));
+}
+
+}  // namespace
+
 Result<StoredRestricted> BuildStoredRestricted(
     const graph::Graph& g, const core::NodePointSet& points, uint32_t K,
     size_t pool_pages, size_t pool_shards, storage::PageLayout layout) {
@@ -131,18 +150,8 @@ Result<StoredRestricted> BuildStoredRestricted(
       auto file, storage::GraphFile::Build(g, env.disk.get(), gf_opts));
   env.file = std::make_unique<storage::GraphFile>(std::move(file));
   if (K > 0) {
-    // Cluster KNN lists like the adjacency pages (BFS order), so local
-    // expansions touch few distinct KNN pages.
-    std::vector<NodeId> order =
-        storage::ComputeNodeOrder(g, storage::NodeOrder::kBfs);
-    std::vector<NodeId> slot_of(g.num_nodes());
-    for (NodeId i = 0; i < g.num_nodes(); ++i) {
-      slot_of[order[i]] = i;
-    }
-    GRNN_ASSIGN_OR_RETURN(
-        auto knn, storage::KnnFile::Create(env.disk.get(), g.num_nodes(),
-                                           K, &slot_of));
-    env.knn_file = std::make_unique<storage::KnnFile>(std::move(knn));
+    GRNN_ASSIGN_OR_RETURN(env.knn_file,
+                          CreateClusteredKnnFile(g, env.disk.get(), K));
     // Materialization happens offline; use an uncounted build pool.
     storage::BufferPool build_pool(env.disk.get(), pool_pages);
     core::FileKnnStore build_store(env.knn_file.get(), &build_pool);
@@ -185,18 +194,8 @@ Result<StoredUnrestricted> BuildStoredUnrestricted(
       storage::PointFile::Build(env.disk.get(), points.ToEdgeGroups()));
   env.point_file = std::make_unique<storage::PointFile>(std::move(pf));
   if (K > 0) {
-    // Cluster KNN lists like the adjacency pages (BFS order), so local
-    // expansions touch few distinct KNN pages.
-    std::vector<NodeId> order =
-        storage::ComputeNodeOrder(g, storage::NodeOrder::kBfs);
-    std::vector<NodeId> slot_of(g.num_nodes());
-    for (NodeId i = 0; i < g.num_nodes(); ++i) {
-      slot_of[order[i]] = i;
-    }
-    GRNN_ASSIGN_OR_RETURN(
-        auto knn, storage::KnnFile::Create(env.disk.get(), g.num_nodes(),
-                                           K, &slot_of));
-    env.knn_file = std::make_unique<storage::KnnFile>(std::move(knn));
+    GRNN_ASSIGN_OR_RETURN(env.knn_file,
+                          CreateClusteredKnnFile(g, env.disk.get(), K));
     storage::BufferPool build_pool(env.disk.get(), pool_pages);
     core::FileKnnStore build_store(env.knn_file.get(), &build_pool);
     graph::GraphView build_view(&g);

@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "graph/dijkstra.h"
-#include "storage/partitioner.h"
 
 namespace grnn::index {
 
@@ -210,9 +209,6 @@ std::vector<NodeId> HubProcessingOrder(const CsrAdjacency& csr,
       return DegreeOrder(csr);
     case HubOrder::kRandom:
       return RandomOrder(csr.num_nodes(), options.seed);
-    case HubOrder::kPartition:
-      return storage::ComputeSeparatorOrder(csr.offsets, csr.adj,
-                                            csr.degree);
     case HubOrder::kBetweennessApprox:
       return BetweennessOrder(csr, options.seed,
                               options.betweenness_samples, threads, pool);

@@ -172,14 +172,11 @@ class HubLabelIndex final : public LabelStore {
 /// Hub processing order. The order determines label size, not
 /// correctness: processing well-connected (or well-separating) nodes
 /// first lets them cover — and prune — most pairs. Degree order works on
-/// scale-free worlds (BRITE) but collapses on grids and road networks;
-/// the separator and centrality orders exist for exactly those.
+/// scale-free (BRITE) and road worlds but collapses on grids, where no
+/// node's degree stands out; the centrality order exists for those.
 enum class HubOrder : uint8_t {
   kDegreeDesc,  // degree descending, node id ascending (default)
   kRandom,      // seeded shuffle (ablation / adversarial testing)
-  kPartition,   // recursive-separator order (storage/partitioner.h):
-                // top-level separators first; the order of choice for
-                // grid/road worlds (labels ~ sum of separator widths)
   kBetweennessApprox,  // sampled shortest-path centrality (Brandes over
                        // `betweenness_samples` sources), descending
 };

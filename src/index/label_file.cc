@@ -22,8 +22,8 @@ class LabelPageLease final : public graph::NeighborLease {
 };
 
 // LEB128 varint (unsigned, 32-bit): 7 payload bits per byte, high bit
-// marks continuation. Hub-id deltas within a label are small (separator
-// orders cluster them), so most encode to 1-2 bytes.
+// marks continuation. Hub-id deltas within a sorted label are small, so
+// most encode to 1-2 bytes.
 void AppendVarint32(std::vector<uint8_t>& out, uint32_t v) {
   while (v >= 0x80u) {
     out.push_back(static_cast<uint8_t>(v) | 0x80u);

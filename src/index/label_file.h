@@ -27,7 +27,7 @@
 // with one variable-length blob per label: the sorted hub ids as LEB128
 // varint DELTAS followed by the distances as raw 8-byte doubles, grouped
 // — the on-disk twin of index/packed_labels.h's SoA split. Grid/road
-// labels whose hub ids cluster by separator shrink to ~9-10 bytes/entry
+// labels, whose sorted hub ids sit close together, shrink to ~10 B/entry
 // from 16. The cost is immutability: delta blobs cannot be patched in
 // place, so RewriteLabel/ReplayLabel fail with FailedPrecondition and
 // the journaled maintenance path (core/durability.cc) requires kRecords

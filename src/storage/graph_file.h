@@ -1,7 +1,9 @@
 // Copyright (c) GRNN authors.
 // GraphFile: the paper's disk organization for large graphs (Section 3.1,
 // Fig 3b): adjacency lists packed into pages in a locality-preserving
-// order, plus a memory-resident index mapping node id -> list location.
+// order (by default recursive BFS bisection, standing in for the
+// clustering of [2]; see storage/partitioner.h), plus a memory-resident
+// index mapping node id -> list location.
 //
 // Two on-page record formats exist (GraphFileOptions::layout):
 //
@@ -72,7 +74,7 @@ inline constexpr size_t kV2HeaderBytes = sizeof(V2PageHeader);
 inline constexpr size_t kV2RecordBytes = sizeof(AdjEntry);
 
 struct GraphFileOptions {
-  NodeOrder order = NodeOrder::kBfs;
+  NodeOrder order = NodeOrder::kBisection;
   PageLayout layout = PageLayout::kV2Aligned;
   /// Avoid splitting sub-page lists across page boundaries.
   bool pad_to_page_boundaries = true;

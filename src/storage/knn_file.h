@@ -111,7 +111,7 @@ class KnnFile {
  public:
   /// Allocates and formats slots for `num_nodes` nodes with capacity `k`.
   /// All slots start empty. `slot_of_node` optionally permutes nodes to
-  /// slots (e.g. the BFS order used for the adjacency file), so that
+  /// slots (the caller's choice, e.g. the adjacency file's order), so that
   /// spatially close nodes share KNN pages -- without it, an expansion
   /// around a query faults one page per list it reads. The formatting
   /// writes go straight to the disk manager (construction is offline);

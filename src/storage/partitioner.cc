@@ -3,10 +3,127 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
+#include <span>
 
 #include "common/rng.h"
 
 namespace grnn::storage {
+namespace {
+
+// Regions of at most this many nodes are not split further. The size
+// barely matters: on bench_ablation_packing's 60k-node road world, leaves
+// of 16, 32 and 96 nodes fault within 2% of each other per query.
+constexpr size_t kLeafSize = 32;
+
+// Recursive BFS bisection over a weightless copy of the graph whose nodes
+// are relabeled in BFS order ("local" ids), so every sweep reads 4-byte
+// neighbor ids of nearby nodes rather than 16-byte entries scattered
+// over the node-id space. One queue and one stamp array serve every
+// sweep: stamps only grow, so a sweep over the nodes stamped in
+// [base, seen) marks what it reaches with `seen`, and no sweep needs an
+// O(n) clear.
+class Bisector {
+ public:
+  Bisector(const graph::Graph& g, std::vector<NodeId> bfs_order)
+      : global_(std::move(bfs_order)),
+        offsets_(global_.size() + 1, 0),
+        stamp_(global_.size(), 0),
+        queue_(global_.size() + 1) {  // + 1: Sweep's speculative write
+    std::vector<NodeId> local(global_.size());
+    for (NodeId i = 0; i < global_.size(); ++i) {
+      local[global_[i]] = i;
+    }
+    targets_.reserve(2 * g.num_edges());
+    for (NodeId i = 0; i < global_.size(); ++i) {
+      for (const AdjEntry& a : g.Neighbors(global_[i])) {
+        targets_.push_back(local[a.node]);
+      }
+      offsets_[i + 1] = targets_.size();
+    }
+  }
+
+  // The bisection order, in node ids.
+  std::vector<NodeId> Order() {
+    std::vector<NodeId> region(global_.size());
+    std::iota(region.begin(), region.end(), NodeId{0});
+    Bisect(region);
+    for (NodeId& v : region) {
+      v = global_[v];
+    }
+    return region;
+  }
+
+ private:
+  // Appends to queue_[tail..] the BFS from `start` over the nodes stamped
+  // in [base, seen), stamping each `seen`; returns the new tail. After
+  // it, queue_[last_level_, tail) is the farthest BFS level.
+  size_t Sweep(NodeId start, uint32_t base, uint32_t seen, size_t tail) {
+    stamp_[start] = seen;
+    queue_[tail] = start;
+    last_level_ = tail;
+    size_t level_end = ++tail;
+    for (size_t head = last_level_; head < tail; ++head) {
+      if (head == level_end) {
+        last_level_ = head;
+        level_end = tail;
+      }
+      const NodeId u = queue_[head];
+      for (size_t i = offsets_[u]; i < offsets_[u + 1]; ++i) {
+        // Branch-free: whether a neighbor is new is a coin flip to the
+        // branch predictor, so always write it and advance on a hit.
+        const NodeId v = targets_[i];
+        uint32_t& s = stamp_[v];
+        const bool fresh = s - base < seen - base;  // s in [base, seen)
+        s = fresh ? seen : s;
+        queue_[tail] = v;
+        tail += fresh;
+      }
+    }
+    return tail;
+  }
+
+  // Orders `region` (local ids) in place. Every region takes three fresh
+  // stamps (member, reached by sweep 1, reached by sweep 2); all nodes
+  // outside it carry older, smaller stamps.
+  void Bisect(std::span<NodeId> region) {
+    const uint32_t base = next_stamp_;
+    next_stamp_ += 3;
+    for (NodeId v : region) {
+      stamp_[v] = base;
+    }
+    // Double sweep: the smallest node id on the farthest level from the
+    // region's first node is a pseudo-peripheral root.
+    const size_t reached = Sweep(region[0], base, base + 1, 0);
+    const NodeId root = *std::min_element(
+        queue_.begin() + last_level_, queue_.begin() + reached,
+        [this](NodeId a, NodeId b) { return global_[a] < global_[b]; });
+    // The region is ordered by a BFS from the root; what that BFS cannot
+    // reach (a region need not be connected) follows, restarted from the
+    // first unreached node in the old order.
+    size_t tail = Sweep(root, base, base + 2, 0);
+    for (size_t i = 0; tail < region.size(); ++i) {
+      if (stamp_[region[i]] != base + 2) {
+        tail = Sweep(region[i], base, base + 2, tail);
+      }
+    }
+    std::copy_n(queue_.begin(), tail, region.begin());
+    if (region.size() > kLeafSize) {
+      const size_t half = region.size() / 2;
+      Bisect(region.first(half));
+      Bisect(region.subspan(half));
+    }
+  }
+
+  std::vector<NodeId> global_;  // local id -> node id
+  std::vector<size_t> offsets_;
+  std::vector<NodeId> targets_;
+  std::vector<uint32_t> stamp_;
+  std::vector<NodeId> queue_;
+  size_t last_level_ = 0;
+  uint32_t next_stamp_ = 1;
+};
+
+}  // namespace
 
 std::vector<NodeId> ComputeNodeOrder(const graph::Graph& g, NodeOrder order,
                                      uint64_t seed) {
@@ -47,146 +164,12 @@ std::vector<NodeId> ComputeNodeOrder(const graph::Graph& g, NodeOrder order,
       GRNN_CHECK(emitted == n);
       return out;
     }
+    case NodeOrder::kBisection:
+      if (n == 0) {
+        return out;
+      }
+      return Bisector(g, ComputeNodeOrder(g, NodeOrder::kBfs)).Order();
   }
-  return out;
-}
-
-std::vector<NodeId> ComputeSeparatorOrder(std::span<const size_t> offsets,
-                                          std::span<const AdjEntry> adj,
-                                          std::span<const uint32_t> degree) {
-  const size_t n = offsets.empty() ? 0 : offsets.size() - 1;
-  std::vector<NodeId> out;
-  if (n == 0) {
-    return out;
-  }
-  GRNN_CHECK(degree.size() == n);
-  out.reserve(n);
-
-  // Regions at most this large are emitted whole; recursing further
-  // buys nothing once a region fits a handful of cache lines.
-  constexpr size_t kLeafSize = 32;
-
-  const auto central_first = [&degree](NodeId a, NodeId b) {
-    return degree[a] != degree[b] ? degree[a] > degree[b] : a < b;
-  };
-
-  // `token[v]` stamps v's current region membership; `hops[v]` holds its
-  // BFS level within that region. Each BFS consumes stamp s (visited
-  // nodes move to s + 1), so a region is re-sweepable without an O(n)
-  // clear between passes.
-  std::vector<uint32_t> token(n, 0);
-  std::vector<uint32_t> hops(n, 0);
-  uint32_t stamp = 0;
-
-  // BFS over the region stamped `member`, from `start`; fills `order`
-  // with the visited nodes (pop order) and `hops` with their levels.
-  // Visited nodes end up stamped `member + 1`.
-  const auto bfs = [&](NodeId start, uint32_t member,
-                       std::vector<NodeId>* order) {
-    order->clear();
-    hops[start] = 0;
-    token[start] = member + 1;
-    order->push_back(start);
-    for (size_t head = 0; head < order->size(); ++head) {
-      const NodeId u = (*order)[head];
-      for (size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
-        const NodeId v = adj[i].node;
-        if (token[v] == member) {
-          token[v] = member + 1;
-          hops[v] = hops[u] + 1;
-          order->push_back(v);
-        }
-      }
-    }
-  };
-
-  std::deque<std::vector<NodeId>> regions;
-  {
-    std::vector<NodeId> all(n);
-    std::iota(all.begin(), all.end(), NodeId{0});
-    regions.push_back(std::move(all));
-  }
-  std::vector<NodeId> sweep;
-  while (!regions.empty()) {
-    std::vector<NodeId> region = std::move(regions.front());
-    regions.pop_front();
-    if (region.size() <= kLeafSize) {
-      std::sort(region.begin(), region.end(), central_first);
-      out.insert(out.end(), region.begin(), region.end());
-      continue;
-    }
-    // Peel off connected components smallest-seed-id first; the
-    // splitting below assumes a connected region.
-    std::sort(region.begin(), region.end());
-    const uint32_t member = ++stamp;
-    for (NodeId v : region) {
-      token[v] = member;
-    }
-    bool split_components = false;
-    for (NodeId v : region) {
-      if (token[v] != member) {
-        continue;  // already swept into an earlier component
-      }
-      bfs(v, member, &sweep);
-      if (sweep.size() == region.size()) {
-        break;  // connected: fall through to the separator split
-      }
-      split_components = true;
-      regions.emplace_back(sweep);
-    }
-    ++stamp;  // account for the `member + 1` stamps the sweeps left
-    if (split_components) {
-      continue;
-    }
-
-    // Double sweep: the farthest node from the smallest-id seed is a
-    // pseudo-peripheral root, so its BFS levels slice the region across
-    // its long axis and the middle level is a decent separator.
-    NodeId root = sweep[0];
-    for (NodeId v : sweep) {
-      if (hops[v] > hops[root] || (hops[v] == hops[root] && v < root)) {
-        root = v;
-      }
-    }
-    bfs(root, stamp, &sweep);
-    ++stamp;
-    uint32_t radius = 0;
-    for (NodeId v : sweep) {
-      radius = std::max(radius, hops[v]);
-    }
-    if (radius == 0) {
-      // Single BFS level (complete-graph-like): nothing to dissect.
-      std::sort(sweep.begin(), sweep.end(), central_first);
-      out.insert(out.end(), sweep.begin(), sweep.end());
-      continue;
-    }
-    // Middle level by node mass: smallest level with half the region at
-    // or below it. Level `cut` is the separator; the sides recurse.
-    std::vector<size_t> level_count(radius + 1, 0);
-    for (NodeId v : sweep) {
-      ++level_count[hops[v]];
-    }
-    uint32_t cut = 0;
-    for (size_t seen = 0; cut < radius; ++cut) {
-      seen += level_count[cut];
-      if (2 * seen >= sweep.size()) {
-        break;
-      }
-    }
-    std::vector<NodeId> separator, low, high;
-    for (NodeId v : sweep) {
-      (hops[v] == cut ? separator : hops[v] < cut ? low : high).push_back(v);
-    }
-    std::sort(separator.begin(), separator.end(), central_first);
-    out.insert(out.end(), separator.begin(), separator.end());
-    if (!low.empty()) {
-      regions.push_back(std::move(low));
-    }
-    if (!high.empty()) {
-      regions.push_back(std::move(high));
-    }
-  }
-  GRNN_CHECK(out.size() == n);
   return out;
 }
 

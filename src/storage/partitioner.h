@@ -2,15 +2,18 @@
 // Node-ordering strategies for packing adjacency lists into pages.
 //
 // The paper stores "lists of neighboring nodes, grouped together using the
-// method of [2]" (Chan & Zhang) so that an expansion touches few pages. We
-// approximate that topological clustering with a BFS layout; kNatural and
-// kRandom exist as ablation baselines (bench_ablation_packing).
+// method of [2]" (Chan & Zhang) so that an expansion touches few pages.
+// kBisection stands in for that topological clustering: recursive BFS
+// bisection keeps each small connected region of the network on one page
+// and sibling regions on neighbouring pages. One global BFS (kBfs) lays a
+// road network out as thin wavefront rings instead, so a local expansion
+// crosses many pages; kBfs, kNatural and kRandom exist as ablation
+// baselines (bench_ablation_packing).
 
 #ifndef GRNN_STORAGE_PARTITIONER_H_
 #define GRNN_STORAGE_PARTITIONER_H_
 
-#include <cstddef>
-#include <span>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
@@ -19,39 +22,25 @@
 namespace grnn::storage {
 
 enum class NodeOrder {
-  kBfs,      // breadth-first layout: neighbors co-located (default)
-  kNatural,  // node-id order
-  kRandom,   // shuffled (worst-case locality, ablation)
+  kBisection,  // recursive BFS bisection: local regions co-located (default)
+  kBfs,        // one global BFS from node 0: thin wavefront rings
+  kNatural,    // node-id order
+  kRandom,     // shuffled (worst-case locality, ablation)
 };
 
 /// \brief Returns a permutation of all node ids in storage order.
 ///
-/// kBfs starts a BFS at node 0 and restarts from the smallest unvisited
-/// node per component, so every node appears exactly once.
+/// kBisection orders each region by a BFS from a pseudo-peripheral node
+/// (the smallest id on the farthest level of a BFS from the region's
+/// first node), splits that sequence at its midpoint and recurses into
+/// both halves down to a fixed small leaf; halves are laid out depth
+/// first. A region the BFS cannot cover is finished by BFS restarts from
+/// its unreached nodes in order, so the top level visits components
+/// smallest id first. kBfs starts a BFS at node 0 and restarts from the
+/// smallest unvisited node per component. Both are deterministic and
+/// emit every node exactly once; `seed` only drives kRandom.
 std::vector<NodeId> ComputeNodeOrder(const graph::Graph& g, NodeOrder order,
                                      uint64_t seed = 42);
-
-/// \brief Recursive-separator ("nested dissection" style) node order over
-/// a CSR adjacency: `offsets` has n+1 entries into `adj`, `degree[v]` is
-/// the neighbor count of v.
-///
-/// Each connected region is split at a middle BFS level (rooted at a
-/// pseudo-peripheral node found by a double sweep); the separator level
-/// is emitted first and the two sides recurse, breadth-first over the
-/// dissection tree. Top-level separators therefore come first — exactly
-/// the "most central nodes first" shape pruned landmark labeling wants
-/// on grid/road worlds, where it shrinks labels to roughly the sum of
-/// separator widths along a node's dissection path (~O(sqrt(n))) instead
-/// of degree order's near-linear blowup. Fully deterministic: all ties
-/// break on (degree descending, node id ascending) and components are
-/// visited smallest-id first.
-///
-/// Takes raw CSR spans rather than a graph::Graph so callers holding
-/// only a NetworkView (index/hub_label.cc materializes its own CSR) can
-/// reuse the machinery.
-std::vector<NodeId> ComputeSeparatorOrder(std::span<const size_t> offsets,
-                                          std::span<const AdjEntry> adj,
-                                          std::span<const uint32_t> degree);
 
 }  // namespace grnn::storage
 

@@ -895,7 +895,7 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   CheckParallelMatchesSerial(up_edge, final_edge_specs, seed);
 }
 
-// The order/parallel phase: labels built with the PARTITION hub order by
+// The order/parallel phase: labels built with the BETWEENNESS hub order by
 // the PARALLEL rank-windowed builder (cross-checked bit-for-bit against
 // the canonical serial build via verify_canonical) must serve the full
 // kind matrix oracle-exactly through node and edge engines — and a v3
@@ -903,15 +903,15 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
 // same as the in-memory index. The hub order changes label CONTENT, so
 // this phase proves engine correctness is order- and builder-invariant,
 // not an artifact of the default degree order.
-TEST_P(DifferentialHarness, PartitionOrderedParallelLabelsMatchOracle) {
+TEST_P(DifferentialHarness, BetweennessOrderedParallelLabelsMatchOracle) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   SCOPED_TRACE("replay: differential_test seed=" + std::to_string(seed) +
-               " (partition-order phase)");
+               " (hub-order phase)");
   auto w = MakeWorld(seed);
   Rng rng(seed * 769 + 11);
 
   index::HubLabelBuildOptions build_opts;
-  build_opts.order = index::HubOrder::kPartition;
+  build_opts.order = index::HubOrder::kBetweennessApprox;
   build_opts.num_threads = 3;
   build_opts.window = 5;
   build_opts.verify_canonical = true;  // parallel == serial, bit for bit
@@ -1047,8 +1047,8 @@ TEST_P(DifferentialHarness, CrashRecoveryRestoresAckedStateExactly) {
 // StoredGraph v1/v2 engines, a hub-label phase holding
 // Algorithm::kHubLabel (memory + reopened stored labels, serial +
 // parallel, staleness probe included) to the same oracle, and a
-// partition-order phase re-running that matrix over parallel-built
-// separator-ordered labels served from a v3 delta LabelFile.
+// hub-order phase re-running that matrix over parallel-built
+// betweenness-ordered labels served from a v3 delta LabelFile.
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialHarness,
                          ::testing::Range(1, 7),
                          ::testing::PrintToStringParamName());

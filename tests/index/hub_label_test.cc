@@ -415,9 +415,8 @@ TEST(HubPointIndex, EraseOfUnknownOccurrenceReportsInternal) {
 
 // --- PR 9: order matrix, parallel bit-identity, packed labels ----------
 
-constexpr HubOrder kAllOrders[] = {
-    HubOrder::kDegreeDesc, HubOrder::kRandom, HubOrder::kPartition,
-    HubOrder::kBetweennessApprox};
+constexpr HubOrder kAllOrders[] = {HubOrder::kDegreeDesc, HubOrder::kRandom,
+                                   HubOrder::kBetweennessApprox};
 
 void ExpectIdenticalLabels(const HubLabelIndex& a, const HubLabelIndex& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
@@ -449,9 +448,9 @@ TEST(HubOrderMatrix, EveryOrderStaysExactAndDeterministic) {
   }
 }
 
-TEST(HubOrderMatrix, PartitionOrderHandlesDisconnectedGraphs) {
-  // Two components of different shapes: the separator recursion must
-  // emit every node exactly once and the labels must stay exact.
+TEST(HubOrderMatrix, EveryOrderHandlesDisconnectedGraphs) {
+  // Two components of different shapes: every order must emit every
+  // node exactly once and the labels must stay exact.
   auto g = graph::Graph::FromEdges(9, {{0, 1, 1.0},
                                        {1, 2, 2.0},
                                        {2, 3, 1.5},
@@ -461,11 +460,13 @@ TEST(HubOrderMatrix, PartitionOrderHandlesDisconnectedGraphs) {
                                        {6, 7, 0.5}})
                .ValueOrDie();  // node 8 is isolated
   graph::GraphView view(&g);
-  HubLabelBuildOptions options;
-  options.order = HubOrder::kPartition;
-  auto index = HubLabelBuilder::Build(view, options).ValueOrDie();
-  ExpectAllPairsExact(g, index);
-  EXPECT_EQ(index.Query(0, 4), kInfinity);
+  for (HubOrder order : kAllOrders) {
+    HubLabelBuildOptions options;
+    options.order = order;
+    auto index = HubLabelBuilder::Build(view, options).ValueOrDie();
+    ExpectAllPairsExact(g, index);
+    EXPECT_EQ(index.Query(0, 4), kInfinity);
+  }
 }
 
 TEST(HubOrderMatrix, BuildStatsReportLabelShapeAndPhases) {
@@ -473,7 +474,7 @@ TEST(HubOrderMatrix, BuildStatsReportLabelShapeAndPhases) {
   auto g = RandomConnectedGraph(40, 0.6, rng);
   graph::GraphView view(&g);
   HubLabelBuildOptions options;
-  options.order = HubOrder::kPartition;
+  options.order = HubOrder::kBetweennessApprox;
   HubLabelBuildStats stats;
   auto index = HubLabelBuilder::Build(view, options, &stats).ValueOrDie();
   EXPECT_EQ(stats.num_entries, index.num_entries());
@@ -496,7 +497,7 @@ TEST(ParallelBuild, BitIdenticalToSerialAcrossThreadsAndWindows) {
     auto g = RandomConnectedGraph(60, 0.5, rng, seed % 2 == 1);
     graph::GraphView view(&g);
     for (HubOrder order :
-         {HubOrder::kDegreeDesc, HubOrder::kPartition}) {
+         {HubOrder::kDegreeDesc, HubOrder::kBetweennessApprox}) {
       HubLabelBuildOptions serial_opts;
       serial_opts.order = order;
       auto serial =
@@ -524,7 +525,7 @@ TEST(ParallelBuild, VerifyCanonicalPasses) {
   auto g = RandomConnectedGraph(50, 0.6, rng);
   graph::GraphView view(&g);
   HubLabelBuildOptions options;
-  options.order = HubOrder::kPartition;
+  options.order = HubOrder::kBetweennessApprox;
   options.num_threads = 4;
   options.verify_canonical = true;
   auto index = HubLabelBuilder::Build(view, options).ValueOrDie();

@@ -9,6 +9,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/eager.h"
+#include "core/workspace.h"
+#include "gen/points.h"
+#include "gen/road_network.h"
 #include "graph/network_view.h"
 #include "storage/stored_graph.h"
 
@@ -87,7 +91,8 @@ TEST_P(GraphFileTest, RoundTripsAdjacency) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllOrdersAndLayouts, GraphFileTest,
-    ::testing::Combine(::testing::Values(NodeOrder::kBfs,
+    ::testing::Combine(::testing::Values(NodeOrder::kBisection,
+                                         NodeOrder::kBfs,
                                          NodeOrder::kNatural,
                                          NodeOrder::kRandom),
                        ::testing::Values(PageLayout::kV1Packed,
@@ -95,6 +100,9 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       std::string name;
       switch (std::get<0>(info.param)) {
+        case NodeOrder::kBisection:
+          name = "Bisection";
+          break;
         case NodeOrder::kBfs:
           name = "Bfs";
           break;
@@ -298,6 +306,41 @@ TEST(GraphFileBasicTest, StoredGraphMatchesGraphView) {
     EXPECT_TRUE(std::equal(a->begin(), a->end(), b->begin(), b->end()))
         << "node " << u;
   }
+}
+
+TEST(GraphFileBasicTest, BisectionFaultsLessThanBfsOnRoadNetwork) {
+  // The paper's access pattern: eager queries from fixed nodes of a road
+  // network, through a warm pool far smaller than the file (16 frames
+  // against 65 pages of 2 KB). One global BFS lays the network out in
+  // thin wavefront rings, so a local expansion crosses many pages;
+  // bisection keeps regions on a page.
+  gen::RoadConfig cfg;
+  cfg.num_nodes = 3000;
+  auto g = gen::GenerateRoadNetwork(cfg).ValueOrDie().g;
+  Rng rng(7);
+  auto points =
+      gen::PlaceNodePoints(g.num_nodes(), 0.02, rng).ValueOrDie();
+
+  auto count_faults = [&](NodeOrder order) {
+    MemoryDiskManager disk(2048);
+    GraphFileOptions opts;
+    opts.order = order;
+    auto file = GraphFile::Build(g, &disk, opts).ValueOrDie();
+    BufferPool pool(&disk, 16);
+    StoredGraph view(&file, &pool);
+    core::SearchWorkspace ws;
+    for (NodeId q = 0; q < g.num_nodes(); q += 37) {
+      EXPECT_TRUE(core::EagerRknn(view, points, std::span(&q, 1),
+                                  core::RknnOptions{}, ws)
+                      .ok());
+    }
+    return pool.stats().physical_reads;
+  };
+
+  const uint64_t bisection = count_faults(NodeOrder::kBisection);
+  const uint64_t bfs = count_faults(NodeOrder::kBfs);
+  EXPECT_LE(4 * bisection, 3 * bfs)
+      << "bisection " << bisection << " vs bfs " << bfs << " faults";
 }
 
 TEST(GraphFileBasicTest, RejectsEmptyGraph) {

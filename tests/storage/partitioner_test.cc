@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "gen/road_network.h"
+
 namespace grnn::storage {
 namespace {
 
@@ -66,6 +68,39 @@ TEST(PartitionerTest, BfsKeepsNeighborsClose) {
   auto order = ComputeNodeOrder(g, NodeOrder::kBfs);
   EXPECT_EQ(order[0], 0u);
   EXPECT_TRUE(IsPermutation(order, 8));
+}
+
+TEST(PartitionerTest, BisectionIsDeterministicPermutation) {
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(Path(1));
+  graphs.push_back(Path(200));
+  // Two small components and two isolated nodes (2 and 5).
+  graphs.push_back(
+      graph::Graph::FromEdges(6, {{0, 1, 1.0}, {3, 4, 1.0}}).ValueOrDie());
+  // Components larger than a leaf, interleaved by id: even nodes form one
+  // path and odd nodes another; every tenth node is isolated.
+  {
+    std::vector<Edge> edges;
+    for (NodeId u = 0; u + 2 < 500; ++u) {
+      if (u % 10 != 0 && (u + 2) % 10 != 0) {
+        edges.push_back({u, static_cast<NodeId>(u + 2), 1.0});
+      }
+    }
+    graphs.push_back(graph::Graph::FromEdges(500, edges).ValueOrDie());
+  }
+  gen::RoadConfig cfg;
+  cfg.num_nodes = 3000;
+  graphs.push_back(gen::GenerateRoadNetwork(cfg).ValueOrDie().g);
+
+  for (const graph::Graph& g : graphs) {
+    auto order = ComputeNodeOrder(g, NodeOrder::kBisection);
+    EXPECT_TRUE(IsPermutation(order, g.num_nodes()))
+        << "|V|=" << g.num_nodes();
+    EXPECT_EQ(order, ComputeNodeOrder(g, NodeOrder::kBisection))
+        << "|V|=" << g.num_nodes();
+  }
+  auto empty = graph::Graph::FromEdges(0, {}).ValueOrDie();
+  EXPECT_TRUE(ComputeNodeOrder(empty, NodeOrder::kBisection).empty());
 }
 
 TEST(PartitionerTest, RandomIsSeededPermutation) {
