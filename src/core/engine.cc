@@ -16,6 +16,7 @@
 #include "core/lazy.h"
 #include "core/lazy_ep.h"
 #include "index/hub_rknn.h"
+#include "index/rknn_bounds.h"
 #include "serve/world_version.h"
 
 namespace grnn::core {
@@ -26,13 +27,81 @@ namespace {
 /// materialized store form one reader-writer unit. Queries take shared
 /// locks on the domains their kind reads (in this fixed index order, so
 /// multi-domain readers cannot deadlock); an update takes the exclusive
-/// lock of the single domain it rewrites.
+/// lock of the single domain it rewrites (plus, in lock mode, a shared
+/// lock on the other node domain when the (P|Q) bounds read it — taken
+/// in the same index order).
 enum Domain {
   kDomainPoints = 0,  // points + knn (node engines)
   kDomainSites = 1,   // sites + site_knn
   kDomainEdge = 2,    // edge_points + knn (edge engines)
   kNumDomains = 3,
 };
+
+/// Derived hub-label state of one world (Algorithm::kHubLabel): the
+/// inverted occurrence index of each point population, plus the
+/// competitor bounds of each query pairing — (P|P) for monochromatic and
+/// continuous queries, (P|Q) for bichromatic, (E|E) for unrestricted.
+/// A member is null when its population is absent.
+struct HubIndexes {
+  std::shared_ptr<index::HubPointIndex> points;
+  std::shared_ptr<index::HubPointIndex> sites;
+  std::shared_ptr<index::HubPointIndex> edge;
+  std::shared_ptr<index::RknnBounds> pp;
+  std::shared_ptr<index::RknnBounds> pq;
+  std::shared_ptr<index::RknnBounds> ee;
+};
+
+/// Builds every member HubIndexes has for the given populations; a
+/// non-null `pool` parallelizes each build (bit-identical results).
+Result<HubIndexes> BuildHubIndexes(const index::LabelStore& labels,
+                                   const NodePointSet* points,
+                                   const NodePointSet* sites,
+                                   const EdgePointSet* edge_points,
+                                   common::ThreadPool* pool) {
+  HubIndexes h;
+  if (points != nullptr) {
+    GRNN_ASSIGN_OR_RETURN(index::HubPointIndex idx,
+                          index::HubPointIndex::Build(labels, *points, pool));
+    h.points = std::make_shared<index::HubPointIndex>(std::move(idx));
+    GRNN_ASSIGN_OR_RETURN(
+        index::RknnBounds b,
+        index::RknnBounds::Build(labels, *points, *h.points, *h.points, pool));
+    h.pp = std::make_shared<index::RknnBounds>(std::move(b));
+  }
+  if (sites != nullptr) {
+    GRNN_ASSIGN_OR_RETURN(index::HubPointIndex idx,
+                          index::HubPointIndex::Build(labels, *sites, pool));
+    h.sites = std::make_shared<index::HubPointIndex>(std::move(idx));
+  }
+  if (points != nullptr && sites != nullptr) {
+    GRNN_ASSIGN_OR_RETURN(
+        index::RknnBounds b,
+        index::RknnBounds::Build(labels, *points, *h.points, *h.sites, pool));
+    h.pq = std::make_shared<index::RknnBounds>(std::move(b));
+  }
+  if (edge_points != nullptr) {
+    GRNN_ASSIGN_OR_RETURN(
+        index::HubPointIndex idx,
+        index::HubPointIndex::Build(labels, *edge_points, pool));
+    h.edge = std::make_shared<index::HubPointIndex>(std::move(idx));
+    GRNN_ASSIGN_OR_RETURN(
+        index::RknnBounds b,
+        index::RknnBounds::Build(labels, *edge_points, *h.edge, pool));
+    h.ee = std::make_shared<index::RknnBounds>(std::move(b));
+  }
+  return h;
+}
+
+/// Publishes `h` as the hub state of version `v`.
+void InstallHubIndexes(serve::WorldVersion& v, HubIndexes h) {
+  v.hub_points = std::move(h.points);
+  v.hub_sites = std::move(h.sites);
+  v.hub_edge_points = std::move(h.edge);
+  v.bounds_pp = std::move(h.pp);
+  v.bounds_pq = std::move(h.pq);
+  v.bounds_ee = std::move(h.ee);
+  v.hub_stale = false;
+}
 
 }  // namespace
 
@@ -42,15 +111,18 @@ struct RknnEngine::State {
   /// first: conceptually they guard the *sources*, everything below
   /// guards engine-internal bookkeeping.
   std::shared_mutex domain_mu[kNumDomains];
-  /// Derived hub-label point indices (Algorithm::kHubLabel), one per
-  /// point population. Patched INCREMENTALLY by every update inside its
-  /// exclusive domain section, rebuilt wholesale only by RebuildIndex
-  /// (under exclusive locks of every indexed domain); read under the
-  /// query's shared domain locks, so a patch or rebuild never races a
-  /// reader of its index.
-  std::unique_ptr<index::HubPointIndex> hub_points;
-  std::unique_ptr<index::HubPointIndex> hub_sites;
-  std::unique_ptr<index::HubPointIndex> hub_edge;
+  /// Derived hub-label state (lock mode; snapshot mode versions it in
+  /// serve::WorldVersion). Patched INCREMENTALLY by every update inside
+  /// its exclusive domain section, rebuilt wholesale only by
+  /// RebuildIndex (under exclusive locks of every indexed domain); read
+  /// under the query's shared domain locks, so a patch or rebuild never
+  /// races a reader of what it writes.
+  HubIndexes hub;
+  /// Scratch of the bounds maintenance: node-domain updates patch
+  /// serially (domain locks in lock mode, the publish mutex in snapshot
+  /// mode), and edge-domain updates apart from them.
+  index::LabelWorkspace node_patch_ws;
+  index::LabelWorkspace edge_patch_ws;
   /// Set only when an update could not patch its domain's index
   /// incrementally (structural failure, e.g. label-universe mismatch);
   /// while true, hub-label queries fall back to the eager expansion
@@ -120,6 +192,9 @@ struct RknnEngine::QueryWorld {
   const index::HubPointIndex* hub_points = nullptr;
   const index::HubPointIndex* hub_sites = nullptr;
   const index::HubPointIndex* hub_edge = nullptr;
+  const index::RknnBounds* bounds_pp = nullptr;
+  const index::RknnBounds* bounds_pq = nullptr;
+  const index::RknnBounds* bounds_ee = nullptr;
   bool hub_stale = false;
 };
 
@@ -562,30 +637,11 @@ Status RknnEngine::InitSnapshotWorld() {
   if (src_.hub_labels != nullptr) {
     std::unique_lock<std::mutex> pool_lock;
     common::ThreadPool* build_pool = IndexBuildPool(pool_lock);
-    if (v->points != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *v->points,
-                                      build_pool));
-      v->hub_points =
-          std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
-    if (v->sites != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *v->sites,
-                                      build_pool));
-      v->hub_sites =
-          std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
-    if (v->edge_points != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *v->edge_points,
-                                      build_pool));
-      v->hub_edge_points =
-          std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
+    GRNN_ASSIGN_OR_RETURN(
+        HubIndexes hub,
+        BuildHubIndexes(*src_.hub_labels, v->points.get(), v->sites.get(),
+                        v->edge_points.get(), build_pool));
+    InstallHubIndexes(*v, std::move(hub));
   }
   std::lock_guard<std::mutex> lock(state_->publish_mu);
   state_->current_holder = v;
@@ -661,28 +717,9 @@ common::ThreadPool* RknnEngine::IndexBuildPool(
 }
 
 Status RknnEngine::RebuildHubIndexesLocked(common::ThreadPool* pool) {
-  if (src_.points != nullptr) {
-    GRNN_ASSIGN_OR_RETURN(
-        index::HubPointIndex idx,
-        index::HubPointIndex::Build(*src_.hub_labels, *src_.points, pool));
-    state_->hub_points =
-        std::make_unique<index::HubPointIndex>(std::move(idx));
-  }
-  if (src_.sites != nullptr) {
-    GRNN_ASSIGN_OR_RETURN(
-        index::HubPointIndex idx,
-        index::HubPointIndex::Build(*src_.hub_labels, *src_.sites, pool));
-    state_->hub_sites =
-        std::make_unique<index::HubPointIndex>(std::move(idx));
-  }
-  if (src_.edge_points != nullptr) {
-    GRNN_ASSIGN_OR_RETURN(
-        index::HubPointIndex idx,
-        index::HubPointIndex::Build(*src_.hub_labels, *src_.edge_points,
-                                    pool));
-    state_->hub_edge =
-        std::make_unique<index::HubPointIndex>(std::move(idx));
-  }
+  GRNN_ASSIGN_OR_RETURN(state_->hub,
+                        BuildHubIndexes(*src_.hub_labels, src_.points,
+                                        src_.sites, src_.edge_points, pool));
   state_->hub_stale.store(false, std::memory_order_release);
   return Status::OK();
 }
@@ -709,35 +746,13 @@ Status RknnEngine::RebuildIndex() {
     std::unique_lock<std::shared_mutex> edge_lock(
         state_->domain_mu[kDomainEdge]);
     std::shared_ptr<const serve::WorldVersion> base = CurrentVersion();
-    std::shared_ptr<const index::HubPointIndex> hub_points;
-    std::shared_ptr<const index::HubPointIndex> hub_sites;
-    std::shared_ptr<const index::HubPointIndex> hub_edge;
-    if (base->points != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *base->points,
-                                      build_pool));
-      hub_points = std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
-    if (base->sites != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *base->sites,
-                                      build_pool));
-      hub_sites = std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
-    if (base->edge_points != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *base->edge_points,
-                                      build_pool));
-      hub_edge = std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
+    GRNN_ASSIGN_OR_RETURN(
+        HubIndexes hub,
+        BuildHubIndexes(*src_.hub_labels, base->points.get(),
+                        base->sites.get(), base->edge_points.get(),
+                        build_pool));
     PublishVersion([&](serve::WorldVersion& v) {
-      v.hub_points = std::move(hub_points);
-      v.hub_sites = std::move(hub_sites);
-      v.hub_edge_points = std::move(hub_edge);
-      v.hub_stale = false;
+      InstallHubIndexes(v, std::move(hub));
     });
     state_->hub_rebuilds.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
@@ -772,30 +787,13 @@ Status RknnEngine::RebuildIndex() {
         edge_copy = *src_.edge_points;
       }
     }
-    std::unique_ptr<index::HubPointIndex> new_points;
-    std::unique_ptr<index::HubPointIndex> new_sites;
-    std::unique_ptr<index::HubPointIndex> new_edge;
-    if (points_copy.has_value()) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *points_copy,
-                                      build_pool));
-      new_points = std::make_unique<index::HubPointIndex>(std::move(idx));
-    }
-    if (sites_copy.has_value()) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *sites_copy,
-                                      build_pool));
-      new_sites = std::make_unique<index::HubPointIndex>(std::move(idx));
-    }
-    if (edge_copy.has_value()) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *edge_copy,
-                                      build_pool));
-      new_edge = std::make_unique<index::HubPointIndex>(std::move(idx));
-    }
+    GRNN_ASSIGN_OR_RETURN(
+        HubIndexes hub,
+        BuildHubIndexes(*src_.hub_labels,
+                        points_copy.has_value() ? &*points_copy : nullptr,
+                        sites_copy.has_value() ? &*sites_copy : nullptr,
+                        edge_copy.has_value() ? &*edge_copy : nullptr,
+                        build_pool));
     std::unique_lock<std::shared_mutex> points_lock(
         state_->domain_mu[kDomainPoints]);
     std::unique_lock<std::shared_mutex> sites_lock(
@@ -805,9 +803,7 @@ Status RknnEngine::RebuildIndex() {
     if (state_->node_gen.load(std::memory_order_seq_cst) != gen) {
       continue;  // an update landed mid-derivation; copies are stale
     }
-    state_->hub_points = std::move(new_points);
-    state_->hub_sites = std::move(new_sites);
-    state_->hub_edge = std::move(new_edge);
+    state_->hub = std::move(hub);
     state_->hub_stale.store(false, std::memory_order_release);
     state_->hub_rebuilds.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
@@ -889,7 +885,7 @@ Result<RknnResult> RknnEngine::RunMonochromatic(const QuerySpec& spec,
       }
       return index::RknnViaLabels(*src_.hub_labels, *world.hub_points,
                                   *world.hub_points, nodes, options,
-                                  ws.labels);
+                                  ws.labels, world.bounds_pp);
     }
   }
   return Status::InvalidArgument("unknown algorithm");
@@ -944,7 +940,7 @@ Result<RknnResult> RknnEngine::RunBichromatic(const QuerySpec& spec,
       }
       return index::RknnViaLabels(*src_.hub_labels, *world.hub_points,
                                   *world.hub_sites, nodes, options,
-                                  ws.labels);
+                                  ws.labels, world.bounds_pq);
     }
   }
   return Status::InvalidArgument("unknown algorithm");
@@ -1012,7 +1008,8 @@ Result<RknnResult> RknnEngine::RunUnrestricted(
       }
       return index::UnrestrictedRknnViaLabels(
           *src_.hub_labels, *src_.graph, *world.edge_points,
-          *world.hub_edge, query, options, ws.labels, ws.nbr_cursor);
+          *world.hub_edge, query, options, ws.labels, ws.nbr_cursor,
+          world.bounds_ee);
     }
   }
   return Status::InvalidArgument("unknown algorithm");
@@ -1123,6 +1120,9 @@ Result<RknnResult> RknnEngine::DispatchBody(const QuerySpec& spec,
     world.hub_points = v->hub_points.get();
     world.hub_sites = v->hub_sites.get();
     world.hub_edge = v->hub_edge_points.get();
+    world.bounds_pp = v->bounds_pp.get();
+    world.bounds_pq = v->bounds_pq.get();
+    world.bounds_ee = v->bounds_ee.get();
     world.hub_stale = v->hub_stale;
     Result<RknnResult> result = RunSpec(spec, world, ws);
     // Pin discipline (DESIGN.md, "Neighbor access path"): no cursor
@@ -1168,18 +1168,25 @@ Result<RknnResult> RknnEngine::DispatchBody(const QuerySpec& spec,
   world.site_knn = src_.site_knn;
   world.edge_points = src_.edge_points;
   world.edge_reader = edge_reader();
-  // The hub indexes are patched IN PLACE by updates under their
-  // domain's exclusive lock, so a query may only read the index of a
-  // domain whose shared lock it holds (the unheld ones stay null —
-  // no Run* body reads an index outside its kind's domains anyway).
+  // The hub state is patched IN PLACE by updates under their domain's
+  // exclusive lock, so a query may only read the members of domains
+  // whose shared locks it holds (the unheld ones stay null — no Run*
+  // body reads one outside its kind's domains anyway). (P|Q) spans both
+  // node domains.
+  const HubIndexes& hub = state_->hub;
   if (points_lock.owns_lock()) {
-    world.hub_points = state_->hub_points.get();
+    world.hub_points = hub.points.get();
+    world.bounds_pp = hub.pp.get();
   }
   if (sites_lock.owns_lock()) {
-    world.hub_sites = state_->hub_sites.get();
+    world.hub_sites = hub.sites.get();
+  }
+  if (points_lock.owns_lock() && sites_lock.owns_lock()) {
+    world.bounds_pq = hub.pq.get();
   }
   if (edge_lock.owns_lock()) {
-    world.hub_edge = state_->hub_edge.get();
+    world.hub_edge = hub.edge.get();
+    world.bounds_ee = hub.ee.get();
   }
   world.hub_stale = state_->hub_stale.load(std::memory_order_acquire);
   Result<RknnResult> result = RunSpec(spec, world, ws);
@@ -1357,50 +1364,92 @@ Result<RknnEngine::UpdateResult> RknnEngine::ApplyEdgeUpdate(
 
 namespace {
 
-/// Lock mode: splice one point's occurrences into the live hub index
-/// slot. Caller holds the domain's exclusive lock. Failure (or an
-/// already-stale or absent index) trips `stale`, routing hub queries
-/// to the exact eager fallback until RebuildIndex().
-template <typename PatchFn>
-void PatchHubIndexLocked(std::atomic<bool>& stale,
-                         std::unique_ptr<index::HubPointIndex>& slot,
-                         PatchFn&& patch) {
-  if (stale.load(std::memory_order_acquire) || slot == nullptr) {
-    stale.store(true, std::memory_order_release);
-    return;
+/// Patches the hub state of one node-set update: the updated set's
+/// occurrence index `idx` first, then every bounds pairing that reads it
+/// — (P|P) as both roles and (P|Q) as candidate for a point, (P|Q) as
+/// competitor for a site. `other` is the other node set's index; absent
+/// pairings are null. A required member that is missing is a
+/// structural failure.
+Status PatchNodeHub(const index::LabelStore& labels, const UpdateSpec& spec,
+                    PointId p, NodeId host, index::HubPointIndex& idx,
+                    const index::HubPointIndex* other, index::RknnBounds* pp,
+                    index::RknnBounds* pq, index::LabelWorkspace& ws) {
+  using Role = index::RknnBounds::Role;
+  const bool insert = spec.op == UpdateSpec::Op::kInsert;
+  const bool is_points = spec.set == UpdateSet::kPoints;
+  if ((is_points && pp == nullptr) || ((pq == nullptr) != (other == nullptr))) {
+    return Status::Internal("hub competitor bounds missing");
   }
-  if (!patch(*slot).ok()) {
-    // A failed erase can leave a partial patch behind; staleness makes
-    // that harmless (the index is bypassed until rebuilt).
+  GRNN_RETURN_NOT_OK(insert ? idx.InsertPoint(labels, p, host)
+                            : idx.ErasePoint(labels, p, host));
+  auto patch = [&](index::RknnBounds& b, const index::HubPointIndex& cands,
+                   const index::HubPointIndex& comps, Role role) {
+    return insert ? b.InsertPoint(labels, cands, comps, p, host, role, ws)
+                  : b.ErasePoint(labels, cands, comps, p, host, role, ws);
+  };
+  if (is_points) {
+    GRNN_RETURN_NOT_OK(patch(*pp, idx, idx, index::RknnBounds::kBoth));
+    if (pq != nullptr) {
+      GRNN_RETURN_NOT_OK(
+          patch(*pq, idx, *other, index::RknnBounds::kCandidate));
+    }
+  } else if (pq != nullptr) {
+    GRNN_RETURN_NOT_OK(
+        patch(*pq, *other, idx, index::RknnBounds::kCompetitor));
+  }
+  return Status::OK();
+}
+
+/// Patches the hub state of one edge-point update: the occurrence index,
+/// then the (E|E) bounds. `pos` / `edge_weight` locate the point (for a
+/// delete, as captured before the set removal); `set` is post-update.
+Status PatchEdgeHub(const index::LabelStore& labels, const UpdateSpec& spec,
+                    PointId p, const EdgePosition& pos, Weight edge_weight,
+                    const EdgePointSet& set, index::HubPointIndex& idx,
+                    index::RknnBounds* ee, index::LabelWorkspace& ws) {
+  if (ee == nullptr) {
+    return Status::Internal("hub competitor bounds missing");
+  }
+  if (spec.op == UpdateSpec::Op::kDelete) {
+    GRNN_RETURN_NOT_OK(idx.EraseEdgePoint(labels, p, pos, edge_weight));
+    return ee->EraseEdgePoint(labels, set, idx, p, pos, edge_weight, ws);
+  }
+  GRNN_RETURN_NOT_OK(idx.InsertEdgePoint(labels, p, pos, edge_weight));
+  return ee->InsertEdgePoint(labels, set, idx, p, ws);
+}
+
+/// Lock mode: runs one in-place hub patch. Caller holds the domain
+/// locks the patch writes and reads. Failure (or an already-stale or
+/// absent index) trips `stale`, routing hub queries to the exact eager
+/// fallback until RebuildIndex() — a failed patch can leave a partial
+/// write behind, which staleness makes harmless.
+template <typename PatchFn>
+void PatchHubLocked(std::atomic<bool>& stale,
+                    index::HubPointIndex* idx, PatchFn&& patch) {
+  if (stale.load(std::memory_order_acquire) || idx == nullptr ||
+      !patch(*idx).ok()) {
     stale.store(true, std::memory_order_release);
   }
 }
 
-/// Snapshot mode: clone-and-splice into the version being published.
-/// The clone is cheap — per-hub runs are shared copy-on-write and the
-/// patch copies only the runs it touches. On any structural failure
-/// every hub index of the version drops and hub_stale is set, so hub
-/// queries against it fall back to exact eager expansion.
-template <typename PatchFn>
-void PatchVersionHubIndex(serve::WorldVersion& v,
-                          std::shared_ptr<const index::HubPointIndex>* slot,
-                          PatchFn&& patch) {
-  if (v.hub_stale || *slot == nullptr) {
-    v.hub_points.reset();
-    v.hub_sites.reset();
-    v.hub_edge_points.reset();
-    v.hub_stale = true;
-    return;
-  }
-  auto next = std::make_shared<index::HubPointIndex>(**slot);
-  if (!patch(*next).ok()) {
-    v.hub_points.reset();
-    v.hub_sites.reset();
-    v.hub_edge_points.reset();
-    v.hub_stale = true;
-    return;
-  }
-  *slot = std::move(next);
+/// The point a node update patches into the hub state: the engine-
+/// assigned id of an insert, the named point of a delete.
+PointId HubPatchPoint(const UpdateSpec& spec,
+                      const RknnEngine::UpdateResult& result) {
+  return spec.op == UpdateSpec::Op::kInsert ? result.point : spec.point;
+}
+
+template <typename T>
+std::shared_ptr<T> CloneOf(const std::shared_ptr<const T>& p) {
+  return p == nullptr ? nullptr : std::make_shared<T>(*p);
+}
+
+/// Snapshot mode: any structural patch failure drops every hub member
+/// of the version and sets hub_stale, so hub queries against it fall
+/// back to exact eager expansion.
+void DropHubState(serve::WorldVersion& v) {
+  InstallHubIndexes(v, HubIndexes{});
+  v.hub_stale = true;
 }
 
 }  // namespace
@@ -1451,16 +1500,30 @@ Result<RknnEngine::UpdateResult> RknnEngine::SnapshotNodeUpdate(
       }
     }
     if (src_.hub_labels != nullptr) {
-      // Keep the derived hub index exact: clone-and-splice the one
-      // changed point (COW — untouched per-hub runs are shared with
-      // the predecessor version).
-      auto* slot = is_points ? &v.hub_points : &v.hub_sites;
-      PatchVersionHubIndex(v, slot, [&](index::HubPointIndex& idx) {
-        return spec.op == UpdateSpec::Op::kInsert
-                   ? idx.InsertPoint(*src_.hub_labels, result->point,
-                                     host)
-                   : idx.ErasePoint(*src_.hub_labels, spec.point, host);
-      });
+      // Keep the derived hub state exact: clone the members this update
+      // writes and patch the one changed point into them (copy-on-write
+      // inside each: untouched runs and chunks stay shared with the
+      // predecessor version).
+      auto& slot = is_points ? v.hub_points : v.hub_sites;
+      std::shared_ptr<index::HubPointIndex> idx = CloneOf(slot);
+      std::shared_ptr<index::RknnBounds> pp =
+          is_points ? CloneOf(v.bounds_pp) : nullptr;
+      std::shared_ptr<index::RknnBounds> pq = CloneOf(v.bounds_pq);
+      const index::HubPointIndex* other =
+          is_points ? v.hub_sites.get() : v.hub_points.get();
+      if (v.hub_stale || idx == nullptr ||
+          !PatchNodeHub(*src_.hub_labels, spec, HubPatchPoint(spec, *result),
+                        host, *idx, other, pp.get(), pq.get(),
+                        state_->node_patch_ws)
+               .ok()) {
+        DropHubState(v);
+      } else {
+        slot = std::move(idx);
+        if (is_points) {
+          v.bounds_pp = std::move(pp);
+        }
+        v.bounds_pq = std::move(pq);
+      }
     }
   });
   return result;
@@ -1512,15 +1575,22 @@ Result<RknnEngine::UpdateResult> RknnEngine::SnapshotEdgeUpdate(
       v.knn = std::move(store_copy);
     }
     if (src_.hub_labels != nullptr) {
-      PatchVersionHubIndex(
-          v, &v.hub_edge_points, [&](index::HubPointIndex& idx) {
-            return is_delete
-                       ? idx.EraseEdgePoint(*src_.hub_labels, spec.point,
-                                            old_pos, old_weight)
-                       : idx.InsertEdgePoint(*src_.hub_labels,
-                                             result->point, new_pos,
-                                             new_weight);
-          });
+      std::shared_ptr<index::HubPointIndex> idx = CloneOf(v.hub_edge_points);
+      std::shared_ptr<index::RknnBounds> ee = CloneOf(v.bounds_ee);
+      const bool ok =
+          !v.hub_stale && idx != nullptr &&
+          PatchEdgeHub(*src_.hub_labels, spec,
+                       is_delete ? spec.point : result->point,
+                       is_delete ? old_pos : new_pos,
+                       is_delete ? old_weight : new_weight, *v.edge_points,
+                       *idx, ee.get(), state_->edge_patch_ws)
+              .ok();
+      if (ok) {
+        v.hub_edge_points = std::move(idx);
+        v.bounds_ee = std::move(ee);
+      } else {
+        DropHubState(v);
+      }
     }
   });
   return result;
@@ -1540,6 +1610,12 @@ Result<RknnEngine::UpdateResult> RknnEngine::DispatchUpdate(
       }
       std::unique_lock<std::shared_mutex> lock(
           state_->domain_mu[kDomainPoints]);
+      // The (P|Q) patch reads the site index: hold it still (index
+      // order: points before sites).
+      std::shared_lock<std::shared_mutex> sites_lock;
+      if (HasCrossBounds()) {
+        sites_lock = std::shared_lock(state_->domain_mu[kDomainSites]);
+      }
       // Deletes tombstone the point before the patch runs, so capture
       // the host node while the set still remembers it.
       const NodeId host = spec.op == UpdateSpec::Op::kDelete
@@ -1550,16 +1626,17 @@ Result<RknnEngine::UpdateResult> RknnEngine::DispatchUpdate(
       if (result.ok()) {
         state_->node_gen.fetch_add(1, std::memory_order_seq_cst);
         if (src_.hub_labels != nullptr) {
-          // Keep the derived hub index exact: splice the one changed
-          // point under the exclusive lock already held.
-          PatchHubIndexLocked(
-              state_->hub_stale, state_->hub_points,
+          // Keep the derived hub state exact: patch the one changed
+          // point under the locks already held.
+          HubIndexes& hub = state_->hub;
+          PatchHubLocked(
+              state_->hub_stale, hub.points.get(),
               [&](index::HubPointIndex& idx) {
-                return spec.op == UpdateSpec::Op::kInsert
-                           ? idx.InsertPoint(*src_.hub_labels,
-                                             result->point, host)
-                           : idx.ErasePoint(*src_.hub_labels, spec.point,
-                                            host);
+                return PatchNodeHub(*src_.hub_labels, spec,
+                                    HubPatchPoint(spec, *result), host,
+                                    idx, hub.sites.get(),
+                                    hub.pp.get(), hub.pq.get(),
+                                    state_->node_patch_ws);
               });
         }
       }
@@ -1574,6 +1651,12 @@ Result<RknnEngine::UpdateResult> RknnEngine::DispatchUpdate(
       if (src_.snapshot_reads) {
         return SnapshotNodeUpdate(spec);
       }
+      // The (P|Q) patch reads the point index: hold it still (index
+      // order: points before sites).
+      std::shared_lock<std::shared_mutex> points_lock;
+      if (HasCrossBounds()) {
+        points_lock = std::shared_lock(state_->domain_mu[kDomainPoints]);
+      }
       std::unique_lock<std::shared_mutex> lock(
           state_->domain_mu[kDomainSites]);
       const NodeId host = spec.op == UpdateSpec::Op::kDelete
@@ -1584,14 +1667,14 @@ Result<RknnEngine::UpdateResult> RknnEngine::DispatchUpdate(
       if (result.ok()) {
         state_->node_gen.fetch_add(1, std::memory_order_seq_cst);
         if (src_.hub_labels != nullptr) {
-          PatchHubIndexLocked(
-              state_->hub_stale, state_->hub_sites,
+          HubIndexes& hub = state_->hub;
+          PatchHubLocked(
+              state_->hub_stale, hub.sites.get(),
               [&](index::HubPointIndex& idx) {
-                return spec.op == UpdateSpec::Op::kInsert
-                           ? idx.InsertPoint(*src_.hub_labels,
-                                             result->point, host)
-                           : idx.ErasePoint(*src_.hub_labels, spec.point,
-                                            host);
+                return PatchNodeHub(*src_.hub_labels, spec,
+                                    HubPatchPoint(spec, *result), host,
+                                    idx, hub.points.get(), nullptr,
+                                    hub.pq.get(), state_->node_patch_ws);
               });
         }
       }
@@ -1625,20 +1708,18 @@ Result<RknnEngine::UpdateResult> RknnEngine::DispatchUpdate(
       if (result.ok()) {
         state_->node_gen.fetch_add(1, std::memory_order_seq_cst);
         if (src_.hub_labels != nullptr) {
-          PatchHubIndexLocked(
-              state_->hub_stale, state_->hub_edge,
+          PatchHubLocked(
+              state_->hub_stale, state_->hub.edge.get(),
               [&](index::HubPointIndex& idx) {
                 // Inserts read the canonicalized position back from
                 // the set so the spliced occurrences match a
                 // from-scratch Build bit for bit.
-                return is_delete
-                           ? idx.EraseEdgePoint(*src_.hub_labels,
-                                                spec.point, old_pos,
-                                                old_weight)
-                           : idx.InsertEdgePoint(
-                                 *src_.hub_labels, result->point,
-                                 set.PositionOf(result->point),
-                                 set.EdgeWeightOfPoint(result->point));
+                const PointId p = is_delete ? spec.point : result->point;
+                return PatchEdgeHub(
+                    *src_.hub_labels, spec, p,
+                    is_delete ? old_pos : set.PositionOf(p),
+                    is_delete ? old_weight : set.EdgeWeightOfPoint(p), set,
+                    idx, state_->hub.ee.get(), state_->edge_patch_ws);
               });
         }
       }

@@ -38,16 +38,20 @@
 //   * Updating a point set or KNN store BEHIND the engine's back (not
 //     through ApplyUpdate / RunMixedBatch) while queries run remains
 //     unsupported — quiesce first.
-//   * The hub-label point indices (EngineSources::hub_labels, PR 5) are
-//     engine-owned DERIVED state covering all three point domains
-//     (points, sites, edge points). Every update patches its domain's
-//     index INCREMENTALLY inside the exclusive section it already
-//     holds (lock mode: splice in place; snapshot mode: clone-and-
-//     splice with copy-on-write per-hub runs), so the indices stay
-//     exact across updates and every query kind keeps its label path.
-//     A query only reads the index of a domain whose shared lock (or
-//     pinned version) it holds. The staleness flag now trips only on
-//     structural patch failures — see the contract at RebuildIndex().
+//   * The hub-label point indices (EngineSources::hub_labels) and
+//     the competitor bounds of each query pairing (index/rknn_bounds.h:
+//     (P|P), (P|Q), (E|E)) are engine-owned DERIVED state covering all
+//     three point domains (points, sites, edge points). Every update
+//     patches its domain's index, then the bounds that read it,
+//     INCREMENTALLY inside the exclusive section it already holds (lock
+//     mode: in place; snapshot mode: clone-and-patch with copy-on-write
+//     runs and chunks), so they stay exact across updates and every
+//     query kind keeps its label path. (P|Q) reads both node domains:
+//     in lock mode a point or site update also holds the OTHER node
+//     domain's lock shared (index order, points before sites). A query
+//     only reads hub state of domains whose shared locks (or pinned
+//     version) it holds. The staleness flag trips only on structural
+//     patch failures — see the contract at RebuildIndex().
 //   * EPOCH-SNAPSHOT SERVING (EngineSources::snapshot_reads, PR 6):
 //     when enabled, queries stop taking domain locks entirely. Dispatch
 //     pins an epoch (serve/epoch.h) and runs against the currently
@@ -427,19 +431,21 @@ class RknnEngine {
   Result<BatchResult> RunBatch(std::span<const QuerySpec> specs,
                                const ParallelOptions& parallel);
 
-  /// \brief Rebuilds the hub-label point indices from the CURRENT point
-  /// and site sets and clears the staleness flag, under exclusive locks
-  /// on both node domains (safe concurrent with queries and updates).
+  /// \brief Rebuilds the hub-label point indices and competitor bounds
+  /// from the CURRENT point and site sets and clears the staleness flag,
+  /// under exclusive locks on both node domains (safe concurrent with
+  /// queries and updates).
   ///
   /// Staleness contract (Algorithm::kHubLabel): the labels themselves
   /// depend only on the immutable graph, and the derived inverted
-  /// point indices are maintained INCREMENTALLY — every ApplyUpdate /
-  /// RunMixedBatch update splices the one changed point into its
-  /// domain's index (in place under the held exclusive lock in lock
-  /// mode; clone-and-splice onto the published version in snapshot
-  /// mode), so updates do NOT take the label path away. The stale
-  /// flag trips only when a patch fails structurally (e.g. a
-  /// label-universe mismatch, or an occurrence missing mid-erase);
+  /// point indices and bounds are maintained INCREMENTALLY — every
+  /// ApplyUpdate / RunMixedBatch update patches the one changed point
+  /// into its domain's index and the bounds that read it (in place
+  /// under the held locks in lock mode; clone-and-patch onto the
+  /// published version in snapshot mode), so updates do NOT take the
+  /// label path away. The stale flag trips only when a patch fails
+  /// structurally (e.g. a label-universe mismatch, or an occurrence
+  /// missing mid-erase);
   /// while stale, hub-label queries transparently fall back to the
   /// exact eager expansion (each fallback increments
   /// SearchStats::hub_fallbacks) until this is called. On a healthy
@@ -506,6 +512,13 @@ class RknnEngine {
   /// domain lock (same order as RunBatchParallel, which holds it across
   /// query dispatch), so call this before taking domain locks.
   common::ThreadPool* IndexBuildPool(std::unique_lock<std::mutex>& lock);
+
+  /// True when the engine keeps (P|Q) competitor bounds, which read
+  /// both node domains' hub indexes.
+  bool HasCrossBounds() const {
+    return src_.hub_labels != nullptr && src_.points != nullptr &&
+           src_.sites != nullptr;
+  }
 
   const EdgePointReader* edge_reader() const {
     return src_.edge_reader != nullptr ? src_.edge_reader

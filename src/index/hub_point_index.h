@@ -3,8 +3,11 @@
 // a hub labeling — ReHub's "hub -> objects" structure. For every hub h it
 // keeps the points p whose label contains h, sorted by d(h, p): the
 // kNN/RkNN primitives (index/hub_rknn.h) answer queries by walking these
-// sorted runs for the hubs of one label, stopping as soon as the
-// accumulated bound exceeds the query's threshold.
+// sorted runs for the hubs of one label. The sweep walks every run in
+// full, or up to the competitor-bound cut of index/rknn_bounds.h (a run
+// is skipped, or a walk ends, once d(q,h) + d(h,p) passes cut(h)); the
+// verify walk of one candidate ends each run at the first entry past
+// the candidate's query distance.
 //
 // Two populations are indexable: node-resident points (NodePointSet; an
 // occurrence per hub of the hosting node's label) and edge-resident
@@ -21,7 +24,7 @@
 // index a from-scratch Build over the updated set would — the engine
 // patches its instances inside each update's exclusive domain section
 // (lock mode) or clones-and-patches per published version (snapshot
-// mode). Per-hub runs sit behind shared_ptr so a copy of the index
+// mode), then patches the RknnBounds that read them. Per-hub runs sit behind shared_ptr so a copy of the index
 // shares every run and a patch clones only the runs it touches
 // (copy-on-write at hub granularity). See the staleness contract in
 // core/engine.h for the rare structural failures that still force a

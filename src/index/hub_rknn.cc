@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/numeric.h"
+#include "index/rknn_bounds.h"
 #include "obs/trace.h"
 
 namespace grnn::index {
@@ -33,48 +34,244 @@ Status ValidateQuery(const LabelStore& labels,
   return Status::OK();
 }
 
-/// The sweep shared by both primitives: accumulates the minimum
-/// d(q,h) + d(h,p) per point over every hub of every query node's
-/// label. The 2-hop cover makes the minimum exact, so after the sweep
-/// ws.point_dist.Get(p) == d(query, p) for every reachable point p (the
-/// distance to the NEAREST query node), and unreachable points were
-/// never touched.
+/// The bounds that serve a query of `k`, or null when the verify walk
+/// must run (no bounds, or k beyond the listed depth).
+Result<const RknnBounds*> BoundsFor(const LabelStore& labels,
+                                    const RknnBounds* bounds, int k) {
+  if (bounds == nullptr || k > kBoundedK) {
+    return nullptr;
+  }
+  if (bounds->num_hubs() != labels.num_nodes()) {
+    return Status::InvalidArgument(
+        "competitor bounds do not cover the label store's node universe");
+  }
+  return bounds;
+}
+
+/// Walks the VIRTUAL label of an edge position: L(u) with every distance
+/// offset by pos, then L(v) offset by w - pos. `visit(hub, base)` gets
+/// base = offset + d(endpoint, hub) and returns false to end the walk.
+template <typename Visit>
+Status WalkVirtualLabel(const LabelStore& labels,
+                        const core::EdgePosition& pos, Weight edge_weight,
+                        LabelCursor& cursor, Visit&& visit) {
+  const NodeId endpoints[2] = {pos.u, pos.v};
+  const Weight offsets[2] = {pos.pos, edge_weight - pos.pos};
+  for (int side = 0; side < 2; ++side) {
+    GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
+                          labels.Scan(endpoints[side], cursor));
+    for (const HubEntry& e : label) {
+      if (!visit(e.hub, offsets[side] + e.dist)) {
+        return Status::OK();
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Keeps the minimum distance `ub` seen for occ.point; returns whether
+/// this one was smaller (or the first).
+bool Accumulate(const HubPointIndex::Entry& occ, Weight ub,
+                LabelWorkspace& ws) {
+  if (!ws.point_dist.Has(occ.point)) {
+    ws.point_dist.Set(occ.point, ub);
+    ws.point_node[occ.point] = occ.node;
+    ws.touched.push_back(occ.point);
+    return true;
+  }
+  if (ub < ws.point_dist.Get(occ.point)) {
+    ws.point_dist.Set(occ.point, ub);
+    return true;
+  }
+  return false;
+}
+
+/// Accumulates one hub's run into the sweep state: `base` is the
+/// source's distance to `hub`. Returns whether the run was cut whole.
+bool SweepRun(const HubPointIndex& points, NodeId hub, Weight base,
+              const RknnBounds* bounds, LabelWorkspace& ws,
+              core::SearchStats* stats) {
+  const std::span<const HubPointIndex::Entry> run = points.ListOf(hub);
+  if (bounds == nullptr) {
+    for (const HubPointIndex::Entry& occ : run) {
+      stats->label_entries++;
+      Accumulate(occ, base + occ.dist, ws);
+    }
+    return false;
+  }
+  if (run.empty()) {
+    return false;
+  }
+  const Weight cut = bounds->cut(hub);
+  if (DistLess(cut, base)) {
+    return true;
+  }
+  for (const HubPointIndex::Entry& occ : run) {
+    const Weight ub = base + occ.dist;
+    stats->label_entries++;
+    if (DistLess(cut, ub)) {
+      break;
+    }
+    Accumulate(occ, ub, ws);
+  }
+  return false;
+}
+
+void ResetSweep(PointId bound, LabelWorkspace& ws) {
+  ws.point_dist.Reset(bound);
+  if (ws.point_node.size() < bound) {
+    ws.point_node.resize(bound, kInvalidNode);
+  }
+  ws.touched.clear();
+}
+
+void NoteSweep(obs::ScopedSpan& span, uint64_t entries, uint64_t runs_cut,
+               const LabelWorkspace& ws) {
+  if (span.armed()) {
+    span.Note("label_entries", entries);
+    span.Note("points_touched", ws.touched.size());
+    span.Note("runs_cut", runs_cut);
+  }
+}
+
+void SortResults(core::RknnResult& out) {
+  std::sort(out.results.begin(), out.results.end(),
+            [](const core::PointMatch& a, const core::PointMatch& b) {
+              return a.point < b.point;
+            });
+}
+
+}  // namespace
+
 Status SweepPointDistances(const LabelStore& labels,
                            const HubPointIndex& points,
-                           std::span<const NodeId> query_nodes,
-                           LabelWorkspace& ws,
+                           std::span<const NodeId> sources,
+                           const RknnBounds* bounds, LabelWorkspace& ws,
                            core::SearchStats* stats) {
   // Armed-trace child span (obs/trace.h): one nullptr branch when the
   // query is not sampled.
   obs::ScopedSpan span(obs::CurrentTrace(), "hub.sweep");
   const uint64_t entries_before = stats->label_entries;
-  ws.point_dist.Reset(points.point_id_bound());
-  if (ws.point_node.size() < points.point_id_bound()) {
-    ws.point_node.resize(points.point_id_bound(), kInvalidNode);
-  }
-  ws.touched.clear();
-  for (NodeId q : query_nodes) {
+  uint64_t runs_cut = 0;
+  ResetSweep(points.point_id_bound(), ws);
+  for (NodeId s : sources) {
     GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
-                          labels.Scan(q, ws.cursor));
+                          labels.Scan(s, ws.cursor));
     for (const HubEntry& e : label) {
-      for (const HubPointIndex::Entry& occ : points.ListOf(e.hub)) {
-        const Weight ub = e.dist + occ.dist;
-        stats->label_entries++;
-        if (!ws.point_dist.Has(occ.point)) {
-          ws.point_dist.Set(occ.point, ub);
-          ws.point_node[occ.point] = occ.node;
-          ws.touched.push_back(occ.point);
-        } else if (ub < ws.point_dist.Get(occ.point)) {
-          ws.point_dist.Set(occ.point, ub);
-        }
-      }
+      runs_cut += SweepRun(points, e.hub, e.dist, bounds, ws, stats);
     }
   }
-  if (span.armed()) {
-    span.Note("label_entries", stats->label_entries - entries_before);
-    span.Note("points_touched", ws.touched.size());
-  }
+  NoteSweep(span, stats->label_entries - entries_before, runs_cut, ws);
   return Status::OK();
+}
+
+Status SweepEdgePosition(const LabelStore& labels,
+                         const core::EdgePointSet& points,
+                         const HubPointIndex& index,
+                         const core::EdgePosition& pos, Weight edge_weight,
+                         const RknnBounds* bounds, LabelWorkspace& ws,
+                         core::SearchStats* stats) {
+  obs::ScopedSpan span(obs::CurrentTrace(), "hub.sweep");
+  const uint64_t entries_before = stats->label_entries;
+  uint64_t runs_cut = 0;
+  ResetSweep(std::max(index.point_id_bound(), points.point_id_bound()), ws);
+  // Exact for every point not sharing the edge: any path to an interior
+  // position enters through an endpoint.
+  GRNN_RETURN_NOT_OK(WalkVirtualLabel(
+      labels, pos, edge_weight, ws.cursor, [&](NodeId hub, Weight base) {
+        runs_cut += SweepRun(index, hub, base, bounds, ws, stats);
+        return true;
+      }));
+  // The same-edge pass: the direct segment between two positions on one
+  // edge is the only path the endpoint cover cannot see.
+  for (const storage::EdgePointRecord& r : points.PointsOnEdge(pos.u, pos.v)) {
+    Accumulate({0, r.point, pos.u}, std::abs(r.pos - pos.pos), ws);
+  }
+  NoteSweep(span, stats->label_entries - entries_before, runs_cut, ws);
+  return Status::OK();
+}
+
+namespace {
+
+/// Writes the first k points of ws.touched other than `exclude`,
+/// ascending by (distance, point id); reorders ws.touched.
+void TakeNearest(LabelWorkspace& ws, int k, PointId exclude,
+                 std::vector<core::NnResult>* out) {
+  // Only the first k + 1 ranks can be reported (one may be `exclude`).
+  const size_t ranks =
+      std::min(ws.touched.size(), static_cast<size_t>(k) + 1);
+  std::partial_sort(ws.touched.begin(), ws.touched.begin() + ranks,
+                    ws.touched.end(), [&](PointId a, PointId b) {
+                      const Weight da = ws.point_dist.Get(a);
+                      const Weight db = ws.point_dist.Get(b);
+                      return da != db ? da < db : a < b;
+                    });
+  out->clear();
+  for (PointId p : ws.touched) {
+    if (out->size() == static_cast<size_t>(k)) {
+      break;
+    }
+    if (p != exclude) {
+      out->push_back(core::NnResult{p, ws.point_node[p],
+                                    ws.point_dist.Get(p)});
+    }
+  }
+}
+
+/// Pruning bound of a kNN sweep: the k-th smallest distance found so far
+/// over k distinct points (each at least its exact distance), so never
+/// below the true k-th; infinity while fewer than k are known.
+Weight NearestBound(const LabelWorkspace& ws, size_t k) {
+  return ws.nearest.size() == k ? ws.nearest.back().first : kInfinity;
+}
+
+/// Accumulates distance `d` of point p as the sweeps do, and keeps
+/// ws.nearest the k smallest (distance, id) pairs over points other than
+/// `exclude`: a point whose distance shrinks moves up, or enters when
+/// it beats the k-th.
+void OfferNearest(PointId p, NodeId node, Weight d, size_t k,
+                  PointId exclude, LabelWorkspace& ws) {
+  if (!Accumulate({0, p, node}, d, ws) || p == exclude) {
+    return;
+  }
+  std::vector<std::pair<Weight, PointId>>& best = ws.nearest;
+  const std::pair<Weight, PointId> entry{d, p};
+  auto it = std::find_if(best.begin(), best.end(),
+                         [p](const auto& e) { return e.second == p; });
+  if (it != best.end()) {
+    best.erase(it);
+  } else if (best.size() == k) {
+    if (!(entry < best.back())) {
+      return;
+    }
+    best.pop_back();
+  }
+  best.insert(std::lower_bound(best.begin(), best.end(), entry), entry);
+}
+
+/// The pruned kNN sweep (ws reset, and possibly seeded, by the caller;
+/// ws.hub_order holds the source's (distance, hub) label entries): hubs
+/// in ascending distance; a run ends at the first entry past the bound,
+/// the sweep at the first hub past it.
+void NearestSweep(const HubPointIndex& points, size_t k, PointId exclude,
+                  LabelWorkspace& ws, core::SearchStats* stats) {
+  obs::ScopedSpan span(obs::CurrentTrace(), "hub.sweep");
+  const uint64_t entries_before = stats->label_entries;
+  std::sort(ws.hub_order.begin(), ws.hub_order.end());
+  for (const auto& [base, hub] : ws.hub_order) {
+    if (base > NearestBound(ws, k)) {
+      break;
+    }
+    for (const HubPointIndex::Entry& occ : points.ListOf(hub)) {
+      const Weight ub = base + occ.dist;
+      stats->label_entries++;
+      if (ub > NearestBound(ws, k)) {
+        break;
+      }
+      OfferNearest(occ.point, occ.node, ub, k, exclude, ws);
+    }
+  }
+  NoteSweep(span, stats->label_entries - entries_before, 0, ws);
 }
 
 }  // namespace
@@ -87,30 +284,61 @@ Status KnnViaLabelsInto(const LabelStore& labels,
   core::SearchStats local;
   GRNN_RETURN_NOT_OK(
       ValidateQuery(labels, points, points, {&source, 1}, k));
-  GRNN_RETURN_NOT_OK(
-      SweepPointDistances(labels, points, {&source, 1}, ws, &local));
+  ResetSweep(points.point_id_bound(), ws);
+  ws.nearest.clear();
+  ws.hub_order.clear();
+  GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
+                        labels.Scan(source, ws.cursor));
+  for (const HubEntry& e : label) {
+    ws.hub_order.emplace_back(e.dist, e.hub);
+  }
+  ws.ReleaseLeases();
+  NearestSweep(points, static_cast<size_t>(k), exclude, ws, &local);
   if (stats != nullptr) {
     *stats += local;
   }
-  ws.ReleaseLeases();
+  TakeNearest(ws, k, exclude, out);
+  return Status::OK();
+}
 
-  std::sort(ws.touched.begin(), ws.touched.end(),
-            [&](PointId a, PointId b) {
-              const Weight da = ws.point_dist.Get(a);
-              const Weight db = ws.point_dist.Get(b);
-              return da != db ? da < db : a < b;
-            });
-  out->clear();
-  for (PointId p : ws.touched) {
-    if (p == exclude) {
-      continue;
-    }
-    out->push_back(core::NnResult{p, ws.point_node[p],
-                                  ws.point_dist.Get(p)});
-    if (out->size() == static_cast<size_t>(k)) {
-      break;
-    }
+Status KnnViaLabelsInto(const LabelStore& labels,
+                        const core::EdgePointSet& points,
+                        const HubPointIndex& index,
+                        const core::EdgePosition& pos, Weight edge_weight,
+                        int k, PointId exclude, LabelWorkspace& ws,
+                        std::vector<core::NnResult>* out,
+                        core::SearchStats* stats) {
+  if (k <= 0) {
+    return Status::InvalidArgument("k must be positive");
   }
+  if (index.num_hubs() != labels.num_nodes() ||
+      pos.u >= labels.num_nodes() || pos.v >= labels.num_nodes()) {
+    return Status::InvalidArgument(
+        "edge position or point index outside the label universe");
+  }
+  core::SearchStats local;
+  ResetSweep(std::max(index.point_id_bound(), points.point_id_bound()), ws);
+  ws.nearest.clear();
+  const size_t kk = static_cast<size_t>(k);
+  // The direct segment to same-edge points first: the only path the
+  // endpoint cover cannot see, and an early bound.
+  for (const storage::EdgePointRecord& r :
+       points.PointsOnEdge(pos.u, pos.v)) {
+    OfferNearest(r.point, pos.u, std::abs(r.pos - pos.pos), kk, exclude,
+                 ws);
+  }
+  ws.hub_order.clear();
+  GRNN_RETURN_NOT_OK(WalkVirtualLabel(labels, pos, edge_weight, ws.cursor,
+                                      [&](NodeId hub, Weight base) {
+                                        ws.hub_order.emplace_back(base, hub);
+                                        return true;
+                                      }));
+  ws.ReleaseLeases();
+  NearestSweep(index, kk, exclude, ws, &local);
+  if (stats != nullptr) {
+    *stats += local;
+  }
+  TakeNearest(ws, k, exclude, out);
   return Status::OK();
 }
 
@@ -119,9 +347,12 @@ Result<core::RknnResult> RknnViaLabels(const LabelStore& labels,
                                        const HubPointIndex& competitors,
                                        std::span<const NodeId> query_nodes,
                                        const core::RknnOptions& options,
-                                       LabelWorkspace& ws) {
+                                       LabelWorkspace& ws,
+                                       const RknnBounds* bounds) {
   GRNN_RETURN_NOT_OK(ValidateQuery(labels, candidates, competitors,
                                    query_nodes, options.k));
+  GRNN_ASSIGN_OR_RETURN(const RknnBounds* bounded,
+                        BoundsFor(labels, bounds, options.k));
   // Monochromatic queries pass one index for both roles: candidates
   // then skip the excluded point and never compete against themselves.
   // Bichromatic queries pass distinct indices whose id spaces are
@@ -132,7 +363,7 @@ Result<core::RknnResult> RknnViaLabels(const LabelStore& labels,
 
   core::RknnResult out;
   GRNN_RETURN_NOT_OK(SweepPointDistances(labels, candidates, query_nodes,
-                                         ws, &out.stats));
+                                         bounded, ws, &out.stats));
 
   const size_t k = static_cast<size_t>(options.k);
   obs::ScopedSpan verify(obs::CurrentTrace(), "hub.verify");
@@ -142,39 +373,46 @@ Result<core::RknnResult> RknnViaLabels(const LabelStore& labels,
       continue;
     }
     const Weight d_query = ws.point_dist.Get(p);
-    // Count competitors strictly closer to p than the query, walking
-    // the competitor runs of p's own hubs. Each run is sorted by
-    // d(h, c), so the first entry whose bound d(p,h) + d(h,c) is no
-    // longer DistLess(d_query) ends the run: bounds only grow, and a
-    // competitor whose EXACT distance qualifies is counted through the
-    // hub witnessing that distance.
     out.stats.verify_calls++;
-    ws.counted.Reset(competitors.point_id_bound());
-    size_t closer = 0;
-    GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
-                          labels.Scan(ws.point_node[p], ws.cursor));
-    for (const HubEntry& e : label) {
-      if (closer >= k) {
-        break;
-      }
-      for (const HubPointIndex::Entry& occ :
-           competitors.ListOf(e.hub)) {
-        out.stats.label_entries++;
-        if (!DistLess(e.dist + occ.dist, d_query)) {
+    bool reported;
+    if (bounded != nullptr) {
+      reported = !DistLess(
+          bounded->Threshold(p, options.k, options.exclude_point), d_query);
+    } else {
+      // Count competitors strictly closer to p than the query, walking
+      // the competitor runs of p's own hubs. Each run is sorted by
+      // d(h, c), so the first entry whose bound d(p,h) + d(h,c) is no
+      // longer DistLess(d_query) ends the run: bounds only grow, and a
+      // competitor whose EXACT distance qualifies is counted through
+      // the hub witnessing that distance.
+      ws.counted.Reset(competitors.point_id_bound());
+      size_t closer = 0;
+      GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
+                            labels.Scan(ws.point_node[p], ws.cursor));
+      for (const HubEntry& e : label) {
+        if (closer >= k) {
           break;
         }
-        const PointId c = occ.point;
-        if ((same_population && c == p) || c == options.exclude_point ||
-            ws.counted.Contains(c)) {
-          continue;
-        }
-        ws.counted.Insert(c);
-        if (++closer >= k) {
-          break;
+        for (const HubPointIndex::Entry& occ :
+             competitors.ListOf(e.hub)) {
+          out.stats.label_entries++;
+          if (!DistLess(e.dist + occ.dist, d_query)) {
+            break;
+          }
+          const PointId c = occ.point;
+          if ((same_population && c == p) ||
+              c == options.exclude_point || ws.counted.Contains(c)) {
+            continue;
+          }
+          ws.counted.Insert(c);
+          if (++closer >= k) {
+            break;
+          }
         }
       }
+      reported = closer < k;
     }
-    if (closer < k) {
+    if (reported) {
       out.results.push_back(
           core::PointMatch{p, ws.point_node[p], d_query});
     }
@@ -184,13 +422,10 @@ Result<core::RknnResult> RknnViaLabels(const LabelStore& labels,
     verify.Note("label_entries",
                 out.stats.label_entries - verify_entries_before);
     verify.Note("results", out.results.size());
+    verify.Note("bounded", bounded != nullptr ? 1 : 0);
   }
   ws.ReleaseLeases();
-
-  std::sort(out.results.begin(), out.results.end(),
-            [](const core::PointMatch& a, const core::PointMatch& b) {
-              return a.point < b.point;
-            });
+  SortResults(out);
   return out;
 }
 
@@ -215,7 +450,8 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
     const LabelStore& labels, const graph::NetworkView& g,
     const core::EdgePointSet& points, const HubPointIndex& index,
     const core::UnrestrictedQuery& query, const core::RknnOptions& options,
-    LabelWorkspace& ws, graph::NeighborCursor& nbr_cursor) {
+    LabelWorkspace& ws, graph::NeighborCursor& nbr_cursor,
+    const RknnBounds* bounds) {
   if (options.k <= 0) {
     return Status::InvalidArgument("k must be positive");
   }
@@ -223,6 +459,8 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
     return Status::InvalidArgument(
         "point index does not cover the label store's node universe");
   }
+  GRNN_ASSIGN_OR_RETURN(const RknnBounds* bounded,
+                        BoundsFor(labels, bounds, options.k));
   core::UnrestrictedQuery q = query;
   Weight qw = 0;
   if (q.is_position) {
@@ -256,60 +494,15 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
   const PointId bound =
       std::max(index.point_id_bound(), points.point_id_bound());
   if (q.is_position) {
-    // Sweep over the query's VIRTUAL label: both endpoint labels, each
-    // offset by the query's distance to that endpoint. Exact for every
-    // point not sharing the query's edge (any path to an interior
-    // position enters through an endpoint).
-    obs::ScopedSpan sweep(obs::CurrentTrace(), "hub.sweep");
-    ws.point_dist.Reset(bound);
-    if (ws.point_node.size() < bound) {
-      ws.point_node.resize(bound, kInvalidNode);
-    }
-    ws.touched.clear();
-    const NodeId endpoints[2] = {q.position.u, q.position.v};
-    const Weight offsets[2] = {q.position.pos, qw - q.position.pos};
-    for (int side = 0; side < 2; ++side) {
-      GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
-                            labels.Scan(endpoints[side], ws.cursor));
-      for (const HubEntry& e : label) {
-        const Weight base = offsets[side] + e.dist;
-        for (const HubPointIndex::Entry& occ : index.ListOf(e.hub)) {
-          out.stats.label_entries++;
-          const Weight ub = base + occ.dist;
-          if (!ws.point_dist.Has(occ.point)) {
-            ws.point_dist.Set(occ.point, ub);
-            ws.point_node[occ.point] = occ.node;
-            ws.touched.push_back(occ.point);
-          } else if (ub < ws.point_dist.Get(occ.point)) {
-            ws.point_dist.Set(occ.point, ub);
-          }
-        }
-      }
-    }
-    // Same-edge correction: the direct segment between two positions on
-    // one edge is the only path the endpoint-route cover cannot see.
-    for (const storage::EdgePointRecord& r :
-         points.PointsOnEdge(q.position.u, q.position.v)) {
-      const Weight direct = std::abs(r.pos - q.position.pos);
-      if (!ws.point_dist.Has(r.point)) {
-        ws.point_dist.Set(r.point, direct);
-        ws.point_node[r.point] = q.position.u;
-        ws.touched.push_back(r.point);
-      } else if (direct < ws.point_dist.Get(r.point)) {
-        ws.point_dist.Set(r.point, direct);
-      }
-    }
-    if (sweep.armed()) {
-      sweep.Note("label_entries", out.stats.label_entries);
-      sweep.Note("points_touched", ws.touched.size());
-    }
+    GRNN_RETURN_NOT_OK(SweepEdgePosition(labels, points, index, q.position,
+                                         qw, bounded, ws, &out.stats));
   } else {
     // Route queries sweep per route NODE; node-to-interior-position
     // distances carry no same-edge case (the query sits on nodes), so
     // the restricted sweep over the edge-point occurrence index is
     // already exact.
-    GRNN_RETURN_NOT_OK(
-        SweepPointDistances(labels, index, q.route, ws, &out.stats));
+    GRNN_RETURN_NOT_OK(SweepPointDistances(labels, index, q.route, bounded,
+                                           ws, &out.stats));
   }
 
   const size_t k = static_cast<size_t>(options.k);
@@ -321,10 +514,16 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
     }
     const Weight d_query = ws.point_dist.Get(p);
     out.stats.verify_calls++;
+    const core::EdgePosition& ppos = points.PositionOf(p);
+    if (bounded != nullptr) {
+      if (!DistLess(bounded->Threshold(p, options.k, options.exclude_point),
+                    d_query)) {
+        out.results.push_back(core::PointMatch{p, ppos.u, d_query});
+      }
+      continue;
+    }
     ws.counted.Reset(bound);
     size_t closer = 0;
-    const core::EdgePosition& ppos = points.PositionOf(p);
-    const Weight pw = points.EdgeWeightOfPoint(p);
     // Same-edge competitors first: their direct-segment distance is
     // invisible to the hub walk below.
     for (const storage::EdgePointRecord& r :
@@ -341,37 +540,31 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
         ++closer;
       }
     }
-    // Hub walk over the candidate's virtual label: L(u) offset by the
-    // candidate's split of its edge, then L(v) by the remainder. Runs
-    // are (dist, point)-sorted, so each ends at the first bound past
+    // Hub walk over the candidate's virtual label. Runs are
+    // (dist, point)-sorted, so each ends at the first bound past
     // d_query; a competitor whose exact distance qualifies is counted
     // through the hub witnessing it (or the direct pass above).
-    const NodeId endpoints[2] = {ppos.u, ppos.v};
-    const Weight offsets[2] = {ppos.pos, pw - ppos.pos};
-    for (int side = 0; side < 2 && closer < k; ++side) {
-      GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
-                            labels.Scan(endpoints[side], ws.cursor));
-      for (const HubEntry& e : label) {
-        if (closer >= k) {
-          break;
-        }
-        const Weight base = offsets[side] + e.dist;
-        for (const HubPointIndex::Entry& occ : index.ListOf(e.hub)) {
-          out.stats.label_entries++;
-          if (!DistLess(base + occ.dist, d_query)) {
-            break;
-          }
-          const PointId c = occ.point;
-          if (c == p || c == options.exclude_point ||
-              ws.counted.Contains(c)) {
-            continue;
-          }
-          ws.counted.Insert(c);
-          if (++closer >= k) {
-            break;
-          }
-        }
-      }
+    if (closer < k) {
+      GRNN_RETURN_NOT_OK(WalkVirtualLabel(
+          labels, ppos, points.EdgeWeightOfPoint(p), ws.cursor,
+          [&](NodeId hub, Weight base) {
+            for (const HubPointIndex::Entry& occ : index.ListOf(hub)) {
+              out.stats.label_entries++;
+              if (!DistLess(base + occ.dist, d_query)) {
+                break;
+              }
+              const PointId c = occ.point;
+              if (c == p || c == options.exclude_point ||
+                  ws.counted.Contains(c)) {
+                continue;
+              }
+              ws.counted.Insert(c);
+              if (++closer >= k) {
+                return false;
+              }
+            }
+            return true;
+          }));
     }
     if (closer < k) {
       out.results.push_back(core::PointMatch{p, ppos.u, d_query});
@@ -382,13 +575,10 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
     verify.Note("label_entries",
                 out.stats.label_entries - verify_entries_before);
     verify.Note("results", out.results.size());
+    verify.Note("bounded", bounded != nullptr ? 1 : 0);
   }
   ws.ReleaseLeases();
-
-  std::sort(out.results.begin(), out.results.end(),
-            [](const core::PointMatch& a, const core::PointMatch& b) {
-              return a.point < b.point;
-            });
+  SortResults(out);
   return out;
 }
 

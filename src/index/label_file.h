@@ -15,7 +15,12 @@
 //                    page's record count, then 16-byte records
 //                    bit-identical to the in-memory HubEntry. Labels
 //                    never straddle a page unless longer than a whole
-//                    page, so almost every scan is one pin.
+//                    page, so almost every scan is one pin. Longer
+//                    labels take runs of fresh pages; the rest are
+//                    packed best-fit decreasing into the free slots, so
+//                    data pages are not in node order (the directory
+//                    locates every label) and the no-straddle rule
+//                    costs only a few percent of the file.
 //
 // Scans mirror GraphFile::ScanNeighbors: a label resident on one page of
 // a lease-friendly pool is served zero-copy (the LabelCursor holds the

@@ -36,6 +36,7 @@
 #include "core/point_set.h"
 #include "core/unrestricted.h"
 #include "index/hub_point_index.h"
+#include "index/rknn_bounds.h"
 
 namespace grnn::serve {
 
@@ -78,7 +79,14 @@ struct WorldVersion {
   std::shared_ptr<const index::HubPointIndex> hub_sites;
   /// Edge-resident point occurrences (unrestricted hub queries).
   std::shared_ptr<const index::HubPointIndex> hub_edge_points;
-  /// True when an update could not patch the hub indexes incrementally
+  /// Competitor bounds (index/rknn_bounds.h) of each query pairing:
+  /// (P|P) for monochromatic and continuous, (P|Q) for bichromatic,
+  /// (E|E) for unrestricted queries. Versioned with the indexes above:
+  /// an update clones the bounds it patches (copy-on-write per chunk).
+  std::shared_ptr<const index::RknnBounds> bounds_pp;
+  std::shared_ptr<const index::RknnBounds> bounds_pq;
+  std::shared_ptr<const index::RknnBounds> bounds_ee;
+  /// True when an update could not patch the hub state incrementally
   /// (structural failure, e.g. label-universe mismatch) and no
   /// RebuildIndex publication has superseded it yet.
   bool hub_stale = false;

@@ -32,7 +32,9 @@
 #include "graph/network_view.h"
 #include "index/hub_label.h"
 #include "index/hub_point_index.h"
+#include "index/hub_rknn.h"
 #include "index/label_file.h"
+#include "index/rknn_bounds.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/graph_file.h"
@@ -58,6 +60,11 @@ struct World {
 };
 
 constexpr uint32_t kMaxK = 3;
+constexpr int kPaperKs[] = {1, 2, 3};  // [1, kMaxK]
+static_assert(std::size(kPaperKs) == kMaxK);
+// The hub phases add both sides of the bounded path's limit: kBoundedK
+// takes the cut sweep and list lookup, kBoundedK + 1 the verify walk.
+constexpr int kHubKs[] = {1, 2, 3, index::kBoundedK, index::kBoundedK + 1};
 
 graph::Graph GenerateGraph(uint64_t seed) {
   switch (seed % 3) {
@@ -226,16 +233,15 @@ QuerySpec MakeSpec(World& w, QueryKind kind, Algorithm algo, int k,
 }
 
 // The full combination sweep for the kinds an engine serves:
-// every algorithm x k in [1, kMaxK] x {exclude-self, arbitrary target},
-// `reps` random targets each.
-std::vector<QuerySpec> MakeSpecsForAlgos(World& w,
-                                         std::vector<QueryKind> kinds,
-                                         std::span<const Algorithm> algos,
-                                         int reps, Rng& rng) {
+// every algorithm x k in `ks` (default [1, kMaxK]) x {exclude-self,
+// arbitrary target}, `reps` random targets each.
+std::vector<QuerySpec> MakeSpecsForAlgos(
+    World& w, std::vector<QueryKind> kinds, std::span<const Algorithm> algos,
+    int reps, Rng& rng, std::span<const int> ks = kPaperKs) {
   std::vector<QuerySpec> specs;
   for (QueryKind kind : kinds) {
     for (Algorithm algo : algos) {
-      for (int k = 1; k <= static_cast<int>(kMaxK); ++k) {
+      for (int k : ks) {
         for (bool exclude_self : {true, false}) {
           for (int rep = 0; rep < reps; ++rep) {
             specs.push_back(
@@ -659,7 +665,7 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   const std::vector<QueryKind> kEdgeKinds{QueryKind::kUnrestricted,
                                           QueryKind::kContinuous};
   auto specs =
-      MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/2, rng);
+      MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/2, rng, kHubKs);
   CheckAgainstOracle(mem_engine, specs, seed);
   CheckParallelMatchesSerial(mem_engine, specs, seed);
   auto mem_batch = mem_engine.RunBatch(specs);
@@ -677,13 +683,41 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   edge_sources.hub_labels = &labels;
   RknnEngine mem_edge = RknnEngine::Create(edge_sources).ValueOrDie();
   auto edge_specs =
-      MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/2, rng);
+      MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/2, rng, kHubKs);
   CheckAgainstOracle(mem_edge, edge_specs, seed);
   CheckParallelMatchesSerial(mem_edge, edge_specs, seed);
   auto mem_edge_batch = mem_edge.RunBatch(edge_specs);
   ASSERT_TRUE(mem_edge_batch.ok());
   EXPECT_EQ(mem_edge_batch->stats.search.hub_fallbacks, 0u);
   EXPECT_GT(mem_edge_batch->stats.search.label_entries, 0u);
+
+  // Snapshot mode serves the bounds of its published version: the same
+  // answers as lock mode, bit for bit.
+  {
+    EngineSources snap_sources = sources;
+    snap_sources.snapshot_reads = true;
+    RknnEngine snap_engine = RknnEngine::Create(snap_sources).ValueOrDie();
+    EngineSources snap_edge_sources = edge_sources;
+    snap_edge_sources.snapshot_reads = true;
+    RknnEngine snap_edge =
+        RknnEngine::Create(snap_edge_sources).ValueOrDie();
+    CheckAgainstOracle(snap_engine, specs, seed);
+    CheckAgainstOracle(snap_edge, edge_specs, seed);
+    auto snap_batch = snap_engine.RunBatch(specs, ParallelOptions{4, 5});
+    ASSERT_TRUE(snap_batch.ok());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(snap_batch->results[i].results,
+                mem_batch->results[i].results)
+          << "spec=" << i << " (snapshot)";
+    }
+    auto snap_edge_batch = snap_edge.RunBatch(edge_specs);
+    ASSERT_TRUE(snap_edge_batch.ok());
+    for (size_t i = 0; i < edge_specs.size(); ++i) {
+      EXPECT_EQ(snap_edge_batch->results[i].results,
+                mem_edge_batch->results[i].results)
+          << "edge spec=" << i << " (snapshot)";
+    }
+  }
 
   // Stored-label engines: persist, reopen, serve through the pool.
   auto disk = std::make_unique<storage::MemoryDiskManager>(512);
@@ -765,6 +799,64 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   ASSERT_FALSE(up_node.hub_index_stale());
   ASSERT_FALSE(up_edge.hub_index_stale());
 
+  // The same stream flows through snapshot-mode engines over an
+  // identical second world: each update clones and patches the hub
+  // state of the version it publishes (indexes and bounds), which must
+  // serve exactly what lock mode serves.
+  auto w2 = MakeWorld(seed);
+  EngineSources snap_node_sources;
+  snap_node_sources.graph = &*w2->view;
+  snap_node_sources.points = &w2->points;
+  snap_node_sources.sites = &w2->sites;
+  snap_node_sources.knn = &w2->knn;
+  snap_node_sources.site_knn = &w2->site_knn;
+  snap_node_sources.hub_labels = &labels;
+  snap_node_sources.updates.points = &w2->points;
+  snap_node_sources.updates.sites = &w2->sites;
+  snap_node_sources.updates.knn = &w2->knn;
+  snap_node_sources.updates.site_knn = &w2->site_knn;
+  snap_node_sources.snapshot_reads = true;
+  RknnEngine snap_node = RknnEngine::Create(snap_node_sources).ValueOrDie();
+  EngineSources snap_edge_sources;
+  snap_edge_sources.graph = &*w2->view;
+  snap_edge_sources.edge_points = &w2->edge_points;
+  snap_edge_sources.knn = &w2->edge_knn;
+  snap_edge_sources.hub_labels = &labels;
+  snap_edge_sources.updates.edge_points = &w2->edge_points;
+  snap_edge_sources.updates.knn = &w2->edge_knn;
+  snap_edge_sources.updates.base_graph = &w2->g;
+  snap_edge_sources.snapshot_reads = true;
+  RknnEngine snap_edge = RknnEngine::Create(snap_edge_sources).ValueOrDie();
+  auto apply = [&](RknnEngine& lock_engine, RknnEngine& snap_engine,
+                   const UpdateSpec& spec) {
+    auto got = lock_engine.ApplyUpdate(spec);
+    auto snap = snap_engine.ApplyUpdate(spec);
+    EXPECT_EQ(got.ok(), snap.ok());
+    if (got.ok() && snap.ok()) {
+      EXPECT_EQ(got->point, snap->point);
+    }
+    return got;
+  };
+  auto apply_node = [&](const UpdateSpec& spec) {
+    return apply(up_node, snap_node, spec);
+  };
+  auto apply_edge = [&](const UpdateSpec& spec) {
+    return apply(up_edge, snap_edge, spec);
+  };
+  // Snapshot answers equal lock-mode answers for the same specs.
+  auto expect_same = [&](RknnEngine& snap_engine,
+                         const std::vector<QuerySpec>& batch_specs,
+                         const RknnEngine::BatchResult& want) {
+    CheckAgainstOracle(snap_engine, batch_specs, seed);
+    auto got = snap_engine.RunBatch(batch_specs);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->stats.search.hub_fallbacks, 0u);
+    for (size_t i = 0; i < batch_specs.size(); ++i) {
+      EXPECT_EQ(got->results[i].results, want.results[i].results)
+          << "spec=" << i << " (snapshot)";
+    }
+  };
+
   auto mirror_points =
       index::HubPointIndex::Build(labels, w->points).ValueOrDie();
   auto mirror_sites =
@@ -779,35 +871,35 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
     // (its host captured BEFORE the tombstone forgets it).
     NodeId free = FreeNode(*w, rng);
     ASSERT_NE(free, kInvalidNode);
-    auto pin = up_node.ApplyUpdate(UpdateSpec::InsertPoint(free));
+    auto pin = apply_node(UpdateSpec::InsertPoint(free));
     ASSERT_TRUE(pin.ok());
     ASSERT_TRUE(mirror_points.InsertPoint(labels, pin->point, free).ok());
     auto live = w->points.LivePoints();
     PointId victim = live[rng.UniformInt(live.size())];
     NodeId victim_host = w->points.NodeOf(victim);
     ASSERT_TRUE(
-        up_node.ApplyUpdate(UpdateSpec::DeletePoint(victim)).ok());
+        apply_node(UpdateSpec::DeletePoint(victim)).ok());
     ASSERT_TRUE(
         mirror_points.ErasePoint(labels, victim, victim_host).ok());
 
     // Sites: same dance through the bichromatic population.
     NodeId sfree = FreeNode(*w, rng);
     ASSERT_NE(sfree, kInvalidNode);
-    auto sin = up_node.ApplyUpdate(UpdateSpec::InsertSite(sfree));
+    auto sin = apply_node(UpdateSpec::InsertSite(sfree));
     ASSERT_TRUE(sin.ok());
     ASSERT_TRUE(mirror_sites.InsertPoint(labels, sin->point, sfree).ok());
     auto slive = w->sites.LivePoints();
     PointId svictim = slive[rng.UniformInt(slive.size())];
     NodeId svictim_host = w->sites.NodeOf(svictim);
     ASSERT_TRUE(
-        up_node.ApplyUpdate(UpdateSpec::DeleteSite(svictim)).ok());
+        apply_node(UpdateSpec::DeleteSite(svictim)).ok());
     ASSERT_TRUE(
         mirror_sites.ErasePoint(labels, svictim, svictim_host).ok());
 
     // Edge points: insert reads the canonicalized position back from
     // the set; delete captures position + weight pre-tombstone.
     const Edge& e = edges[rng.UniformInt(edges.size())];
-    auto ein = up_edge.ApplyUpdate(UpdateSpec::InsertEdgePoint(
+    auto ein = apply_edge(UpdateSpec::InsertEdgePoint(
         EdgePosition{e.u, e.v, rng.Uniform(0.0, e.w)}));
     ASSERT_TRUE(ein.ok());
     ASSERT_TRUE(mirror_edge
@@ -821,7 +913,7 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
     EdgePosition evictim_pos = w->edge_points.PositionOf(evictim);
     Weight evictim_w = w->edge_points.EdgeWeightOfPoint(evictim);
     ASSERT_TRUE(
-        up_edge.ApplyUpdate(UpdateSpec::DeleteEdgePoint(evictim)).ok());
+        apply_edge(UpdateSpec::DeleteEdgePoint(evictim)).ok());
     ASSERT_TRUE(mirror_edge
                     .EraseEdgePoint(labels, evictim, evictim_pos,
                                     evictim_w)
@@ -830,6 +922,8 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
     // Nothing went dark.
     ASSERT_FALSE(up_node.hub_index_stale());
     ASSERT_FALSE(up_edge.hub_index_stale());
+    ASSERT_FALSE(snap_node.hub_index_stale());
+    ASSERT_FALSE(snap_edge.hub_index_stale());
 
     // The spliced mirrors equal a from-scratch Build, bit for bit.
     ExpectHubIndexesIdentical(
@@ -847,32 +941,36 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
 
     // Label-served, oracle-exact over the mutated world.
     auto node_specs =
-        MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/1, rng);
+        MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/1, rng, kHubKs);
     CheckAgainstOracle(up_node, node_specs, seed);
     auto node_batch = up_node.RunBatch(node_specs);
     ASSERT_TRUE(node_batch.ok());
     EXPECT_EQ(node_batch->stats.search.hub_fallbacks, 0u);
     EXPECT_GT(node_batch->stats.search.label_entries, 0u);
     auto burst_edge_specs =
-        MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/1, rng);
+        MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/1, rng, kHubKs);
     CheckAgainstOracle(up_edge, burst_edge_specs, seed);
     auto edge_batch = up_edge.RunBatch(burst_edge_specs);
     ASSERT_TRUE(edge_batch.ok());
     EXPECT_EQ(edge_batch->stats.search.hub_fallbacks, 0u);
     EXPECT_GT(edge_batch->stats.search.label_entries, 0u);
+    expect_same(snap_node, node_specs, *node_batch);
+    expect_same(snap_edge, burst_edge_specs, *edge_batch);
   }
 
   // RebuildIndex is a consistency check now: answers are unchanged.
   auto final_node_specs =
-      MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/1, rng);
+      MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/1, rng, kHubKs);
   auto final_edge_specs =
-      MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/1, rng);
+      MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/1, rng, kHubKs);
   auto before_node = up_node.RunBatch(final_node_specs);
   ASSERT_TRUE(before_node.ok());
   auto before_edge = up_edge.RunBatch(final_edge_specs);
   ASSERT_TRUE(before_edge.ok());
   ASSERT_TRUE(up_node.RebuildIndex().ok());
   ASSERT_TRUE(up_edge.RebuildIndex().ok());
+  ASSERT_TRUE(snap_node.RebuildIndex().ok());
+  ASSERT_TRUE(snap_edge.RebuildIndex().ok());
   ASSERT_FALSE(up_node.hub_index_stale());
   ASSERT_FALSE(up_edge.hub_index_stale());
   auto after_node = up_node.RunBatch(final_node_specs);
@@ -893,6 +991,8 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   EXPECT_EQ(after_edge->stats.search.hub_fallbacks, 0u);
   CheckParallelMatchesSerial(up_node, final_node_specs, seed);
   CheckParallelMatchesSerial(up_edge, final_edge_specs, seed);
+  expect_same(snap_node, final_node_specs, *before_node);
+  expect_same(snap_edge, final_edge_specs, *before_edge);
 }
 
 // The order/parallel phase: labels built with the BETWEENNESS hub order by
@@ -938,7 +1038,7 @@ TEST_P(DifferentialHarness, BetweennessOrderedParallelLabelsMatchOracle) {
   const std::vector<QueryKind> kEdgeKinds{QueryKind::kUnrestricted,
                                           QueryKind::kContinuous};
   auto specs =
-      MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/2, rng);
+      MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/2, rng, kHubKs);
   CheckAgainstOracle(mem_engine, specs, seed);
   CheckParallelMatchesSerial(mem_engine, specs, seed);
   auto mem_batch = mem_engine.RunBatch(specs);
@@ -953,7 +1053,7 @@ TEST_P(DifferentialHarness, BetweennessOrderedParallelLabelsMatchOracle) {
   edge_sources.hub_labels = &labels;
   RknnEngine mem_edge = RknnEngine::Create(edge_sources).ValueOrDie();
   auto edge_specs =
-      MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/2, rng);
+      MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/2, rng, kHubKs);
   CheckAgainstOracle(mem_edge, edge_specs, seed);
   CheckParallelMatchesSerial(mem_edge, edge_specs, seed);
   auto mem_edge_batch = mem_edge.RunBatch(edge_specs);
@@ -1003,6 +1103,80 @@ TEST_P(DifferentialHarness, BetweennessOrderedParallelLabelsMatchOracle) {
         << "edge spec=" << i;
   }
   EXPECT_EQ(pool->num_pinned(), 0u);
+}
+
+// Guard on the bounded path's cost: on a ~3k-node road world, the hub
+// queries the engine answers with the cut sweep and list lookup walk at
+// most a fifth of the label entries the sweep-and-verify path walks for
+// the same queries (the primitive without bounds), with identical
+// answers. It fails if the engine stops passing its bounds or the cut
+// is silently disabled.
+TEST(HubBoundsGuard, CutSweepWalksAtMostAFifthOfTheVerifyPathEntries) {
+  gen::RoadConfig cfg;
+  cfg.num_nodes = 3000;
+  cfg.seed = 17;
+  const graph::Graph g = gen::GenerateRoadNetwork(cfg).ValueOrDie().g;
+  graph::GraphView view(&g);
+  auto labels = index::HubLabelBuilder::Build(view).ValueOrDie();
+  Rng rng(1717);
+  auto nodes = rng.SampleWithoutReplacement(g.num_nodes(), 360);
+  auto points = NodePointSet::FromLocations(
+                    g.num_nodes(),
+                    std::vector<NodeId>(nodes.begin(), nodes.begin() + 300))
+                    .ValueOrDie();
+  auto sites = NodePointSet::FromLocations(
+                   g.num_nodes(),
+                   std::vector<NodeId>(nodes.begin() + 300, nodes.end()))
+                   .ValueOrDie();
+  EngineSources sources;
+  sources.graph = &view;
+  sources.points = &points;
+  sources.sites = &sites;
+  sources.hub_labels = &labels;
+  RknnEngine engine = RknnEngine::Create(sources).ValueOrDie();
+
+  std::vector<QuerySpec> specs;
+  const auto live = points.LivePoints();
+  const auto live_sites = sites.LivePoints();
+  for (int rep = 0; rep < 20; ++rep) {
+    for (int k : {1, 2, 4}) {
+      const PointId p = live[rng.UniformInt(live.size())];
+      specs.push_back(QuerySpec::Monochromatic(Algorithm::kHubLabel,
+                                               points.NodeOf(p), k, p));
+      const PointId s = live_sites[rng.UniformInt(live_sites.size())];
+      specs.push_back(QuerySpec::Bichromatic(Algorithm::kHubLabel,
+                                             sites.NodeOf(s), k, s));
+      std::vector<NodeId> route{
+          static_cast<NodeId>(rng.UniformInt(g.num_nodes()))};
+      for (int hop = 0; hop < 4; ++hop) {
+        auto nbrs = g.Neighbors(route.back());
+        route.push_back(nbrs[rng.UniformInt(nbrs.size())].node);
+      }
+      specs.push_back(QuerySpec::Continuous(Algorithm::kHubLabel,
+                                            std::move(route), k));
+    }
+  }
+  auto batch = engine.RunBatch(specs);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->stats.search.hub_fallbacks, 0u);
+
+  auto pidx = index::HubPointIndex::Build(labels, points).ValueOrDie();
+  auto sidx = index::HubPointIndex::Build(labels, sites).ValueOrDie();
+  index::LabelWorkspace ws;
+  uint64_t walk_entries = 0;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const QuerySpec& spec = specs[i];
+    const bool bichromatic = spec.kind == QueryKind::kBichromatic;
+    auto walk = index::RknnViaLabels(labels, pidx, bichromatic ? sidx : pidx,
+                                     spec.query_nodes, spec.options(), ws)
+                    .ValueOrDie();
+    walk_entries += walk.stats.label_entries;
+    EXPECT_EQ(batch->results[i].results, walk.results) << "spec=" << i;
+  }
+  const uint64_t bounded_entries = batch->stats.search.label_entries;
+  EXPECT_GT(bounded_entries, 0u);
+  EXPECT_LE(bounded_entries * 5, walk_entries)
+      << "bounded " << bounded_entries << " vs walk " << walk_entries;
 }
 
 // The crash/recover phase: a seeded update burst over journaled stores

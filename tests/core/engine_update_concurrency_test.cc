@@ -31,6 +31,7 @@
 #include "core/engine.h"
 #include "gen/grid.h"
 #include "gen/points.h"
+#include "index/hub_label.h"
 
 namespace grnn::core {
 namespace {
@@ -298,6 +299,162 @@ TEST(EngineUpdateConcurrencyTest, EpochSnapshotQueriesSeePublishedWorlds) {
   es = engine.epoch_stats();
   EXPECT_EQ(es.limbo, 0u);
   EXPECT_EQ(es.reclaimed, es.retired);
+}
+
+// Hub-label serving under concurrent point AND site updates. The (P|Q)
+// competitor bounds read both node domains, so a point update and a
+// site update must never patch them at once, and a bichromatic reader
+// must see both domains at one moment. One thread toggles a point,
+// another a site, while readers run monochromatic and bichromatic hub
+// queries (k up to the bounded path's limit and one past it): every
+// answer must be one of the four worlds' brute-force answers, and the
+// hub path must never fall back.
+void RunHubToggleStress(bool snapshot_reads) {
+  gen::GridConfig cfg;
+  cfg.rows = 10;
+  cfg.cols = 10;
+  cfg.seed = 21;
+  const graph::Graph g = gen::GenerateGrid(cfg).ValueOrDie();
+  graph::GraphView view(&g);
+  const index::HubLabelIndex labels =
+      index::HubLabelBuilder::Build(view).ValueOrDie();
+  Rng rng(2121);
+  auto nodes = rng.SampleWithoutReplacement(g.num_nodes(), 40);
+  const NodePointSet base_points =
+      NodePointSet::FromLocations(
+          g.num_nodes(), std::vector<NodeId>(nodes.begin(), nodes.begin() + 24))
+          .ValueOrDie();
+  const NodePointSet base_sites =
+      NodePointSet::FromLocations(
+          g.num_nodes(),
+          std::vector<NodeId>(nodes.begin() + 24, nodes.begin() + 38))
+          .ValueOrDie();
+  const NodeId toggles[2] = {static_cast<NodeId>(nodes[38]),
+                             static_cast<NodeId>(nodes[39])};  // point, site
+
+  std::vector<QuerySpec> specs;
+  for (int k : {1, 2, 16, 17}) {
+    const PointId p = base_points.LivePoints()[rng.UniformInt(24)];
+    specs.push_back(QuerySpec::Monochromatic(
+        Algorithm::kHubLabel, base_points.NodeOf(p), k, p));
+    const PointId s = base_sites.LivePoints()[rng.UniformInt(14)];
+    specs.push_back(QuerySpec::Bichromatic(Algorithm::kHubLabel,
+                                           base_sites.NodeOf(s), k, s));
+  }
+  // expected[world][spec]; world bit 0 = toggled point present, bit 1 =
+  // toggled site present.
+  std::vector<std::vector<std::vector<NodeId>>> expected(4);
+  for (int world = 0; world < 4; ++world) {
+    NodePointSet points = base_points;
+    NodePointSet sites = base_sites;
+    if (world & 1) {
+      (void)points.AddPoint(toggles[0]).ValueOrDie();
+    }
+    if (world & 2) {
+      (void)sites.AddPoint(toggles[1]).ValueOrDie();
+    }
+    EngineSources sources;
+    sources.graph = &view;
+    sources.points = &points;
+    sources.sites = &sites;
+    auto oracle = RknnEngine::Create(sources).ValueOrDie();
+    for (const QuerySpec& spec : specs) {
+      QuerySpec bf = spec;
+      bf.algorithm = Algorithm::kBruteForce;
+      expected[world].push_back(Nodes(oracle.Run(bf).ValueOrDie()));
+    }
+  }
+
+  NodePointSet points = base_points;
+  NodePointSet sites = base_sites;
+  EngineSources sources;
+  sources.graph = &view;
+  sources.points = &points;
+  sources.sites = &sites;
+  sources.hub_labels = &labels;
+  sources.updates.points = &points;
+  sources.updates.sites = &sites;
+  sources.snapshot_reads = snapshot_reads;
+  auto engine = RknnEngine::Create(sources).ValueOrDie();
+
+  constexpr int kReaders = 4;
+  constexpr int kPasses = 8;
+  constexpr int kMaxToggleCycles = 2000;
+  std::atomic<int> readers_running{kReaders};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> fallbacks{0};
+  std::atomic<uint64_t> cycles[2] = {{0}, {0}};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      while (readers_running.load() > 0 &&
+             cycles[t].load() < kMaxToggleCycles) {
+        auto ins = engine.ApplyUpdate(t == 0
+                                          ? UpdateSpec::InsertPoint(toggles[0])
+                                          : UpdateSpec::InsertSite(toggles[1]));
+        auto del =
+            ins.ok() ? engine.ApplyUpdate(t == 0
+                                              ? UpdateSpec::DeletePoint(
+                                                    ins->point)
+                                              : UpdateSpec::DeleteSite(
+                                                    ins->point))
+                     : ins;
+        if (!del.ok()) {
+          failures.fetch_add(1);
+          break;
+        }
+        cycles[t].fetch_add(1);
+      }
+    });
+  }
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int pass = 0; pass < kPasses; ++pass) {
+        for (size_t j = 0; j < specs.size(); ++j) {
+          const size_t i = (j + static_cast<size_t>(t)) % specs.size();
+          auto r = engine.Run(specs[i]);
+          if (!r.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          fallbacks.fetch_add(r->stats.hub_fallbacks);
+          const std::vector<NodeId> got = Nodes(*r);
+          bool found = false;
+          for (int world = 0; world < 4 && !found; ++world) {
+            found = got == expected[world][i];
+          }
+          if (!found) {
+            mismatches.fetch_add(1);
+          }
+        }
+        std::this_thread::yield();
+      }
+      readers_running.fetch_sub(1);
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(fallbacks.load(), 0u);
+  EXPECT_GE(cycles[0].load(), 1u);
+  EXPECT_GE(cycles[1].load(), 1u);
+  EXPECT_FALSE(engine.hub_index_stale());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(Nodes(engine.Run(specs[i]).ValueOrDie()), expected[0][i])
+        << "spec " << i;
+  }
+}
+
+TEST(EngineUpdateConcurrencyTest, HubQueriesSeeConsistentPointAndSiteWorlds) {
+  RunHubToggleStress(/*snapshot_reads=*/false);
+}
+
+TEST(EngineUpdateConcurrencyTest,
+     SnapshotHubQueriesSeeConsistentPointAndSiteWorlds) {
+  RunHubToggleStress(/*snapshot_reads=*/true);
 }
 
 // A mixed batch aborted by a failing op must still count the ops that

@@ -88,6 +88,38 @@ TEST(LabelFile, StoredScansMatchMemoryOnAllWorlds) {
   }
 }
 
+// The records layout packs labels that fit on a page best-fit
+// decreasing into free slots: a road network's file stays within a few
+// percent of its records' size (node order left about a fifth of every
+// page as padding), and every label still scans back exactly, zero-copy
+// from one page.
+TEST(LabelFile, RecordsLayoutPacksLabelsIntoFewPages) {
+  gen::RoadConfig cfg;
+  cfg.num_nodes = 2000;
+  cfg.seed = 5;
+  auto g = gen::GenerateRoadNetwork(cfg).ValueOrDie().g;
+  auto index = BuildIndex(g);
+  storage::MemoryDiskManager disk(4096);
+  auto file = LabelFile::Build(index, &disk).ValueOrDie();
+  const size_t slots = (4096 - kLabelPageHeaderBytes) / kLabelRecordBytes;
+  const size_t dir_pages =
+      (index.num_nodes() * sizeof(LabelDirectoryEntry) + 4095) / 4096;
+  const size_t min_data_pages = (index.num_entries() + slots - 1) / slots;
+  EXPECT_LE(file.num_pages(),
+            1 + dir_pages + min_data_pages + min_data_pages / 50 + 1);
+  storage::BufferPool pool(&disk, 64);
+  ExpectStoredScansMatch(index, file, &pool);
+  StoredLabelIndex stored(&file, &pool);
+  LabelCursor cursor;
+  for (NodeId n = 0; n < index.num_nodes(); ++n) {
+    if (index.LabelSize(n) <= slots) {
+      ASSERT_TRUE(stored.Scan(n, cursor).ok());
+      EXPECT_EQ(cursor.held_pins(), 1u) << "node " << n;
+    }
+  }
+  cursor.Reset();
+}
+
 TEST(LabelFile, TinyPagesForceStraddlingAndStillMatch) {
   auto g = WorldGraph(1, 5);
   auto index = BuildIndex(g);
