@@ -3,7 +3,7 @@
 // we stand in for that with recursive BFS bisection (the GraphFile
 // default). This bench quantifies the benefit against one global BFS,
 // natural (node-id) and random placement: same queries, same algorithm
-// (eager), different page layouts.
+// (eager), different node orders.
 
 #include <cstdio>
 
@@ -26,16 +26,12 @@ int main(int argc, char** argv) {
       gen::PlaceNodePoints(net.g.num_nodes(), 0.01, rng).ValueOrDie();
   auto queries = gen::SampleQueryPoints(points, args.queries, rng);
 
-  PrintBanner(
-      StrPrintf("Ablation -- adjacency page packing x record layout "
-                "(road, |V|=%u, eager, k=1)",
-                net.g.num_nodes()),
-      args,
-      "identical queries; only node order and on-page record layout "
-      "differ");
+  PrintBanner(StrPrintf("Ablation -- adjacency page packing order "
+                        "(road, |V|=%u, eager, k=1)",
+                        net.g.num_nodes()),
+              args, "identical queries; only the node order differs");
 
-  Table table(
-      {"order", "records", "IO/q", "CPUms/q", "total(s)/q", "pages"});
+  Table table({"order", "pages", "IO/q", "CPUms/q"});
   JsonReport report("ablation_packing", args);
   struct OrderConfig {
     const char* name;
@@ -46,46 +42,35 @@ int main(int argc, char** argv) {
         OrderConfig{"bfs", storage::NodeOrder::kBfs},
         OrderConfig{"natural", storage::NodeOrder::kNatural},
         OrderConfig{"random", storage::NodeOrder::kRandom}}) {
-    for (storage::PageLayout layout :
-         {storage::PageLayout::kV1Packed,
-          storage::PageLayout::kV2Aligned}) {
-      storage::MemoryDiskManager disk;
-      storage::GraphFileOptions opts;
-      opts.order = c.order;
-      opts.layout = layout;
-      auto file =
-          storage::GraphFile::Build(net.g, &disk, opts).ValueOrDie();
-      storage::BufferPool pool(&disk, kDefaultPoolPages);
-      storage::StoredGraph view(&file, &pool);
+    storage::MemoryDiskManager disk;
+    storage::GraphFileOptions opts;
+    opts.order = c.order;
+    auto file = storage::GraphFile::Build(net.g, &disk, opts).ValueOrDie();
+    storage::BufferPool pool(&disk, kDefaultPoolPages);
+    storage::StoredGraph view(&file, &pool);
 
-      core::EngineSources sources;
-      sources.graph = &view;
-      sources.points = &points;
-      sources.pool = &pool;
-      auto engine = core::RknnEngine::Create(sources).ValueOrDie();
-      auto m = RunWorkload(&pool, queries.size(),
-                           [&](size_t i) -> Result<size_t> {
-                             GRNN_ASSIGN_OR_RETURN(
-                                 core::RknnResult r,
-                                 engine.Run(core::QuerySpec::Monochromatic(
-                                     core::Algorithm::kEager,
-                                     points.NodeOf(queries[i]), /*k=*/1,
-                                     queries[i])));
-                             return r.results.size();
-                           })
-                   .ValueOrDie();
-      table.AddRow({c.name, storage::PageLayoutName(layout),
-                    Table::Num(m.AvgFaults(), 1),
-                    Table::Num(m.AvgCpuMs(), 2),
-                    Table::Num(m.AvgTotalS(), 3),
-                    std::to_string(file.num_pages())});
-      auto metrics = JsonReport::MeasurementMetrics(m);
-      metrics.emplace_back("pages",
-                           static_cast<double>(file.num_pages()));
-      report.AddConfig(StrPrintf("%s/%s", c.name,
-                                 storage::PageLayoutName(layout)),
-                       std::move(metrics));
-    }
+    core::EngineSources sources;
+    sources.graph = &view;
+    sources.points = &points;
+    sources.pool = &pool;
+    auto engine = core::RknnEngine::Create(sources).ValueOrDie();
+    auto m = RunWorkload(&pool, queries.size(),
+                         [&](size_t i) -> Result<size_t> {
+                           GRNN_ASSIGN_OR_RETURN(
+                               core::RknnResult r,
+                               engine.Run(core::QuerySpec::Monochromatic(
+                                   core::Algorithm::kEager,
+                                   points.NodeOf(queries[i]), /*k=*/1,
+                                   queries[i])));
+                           return r.results.size();
+                         })
+                 .ValueOrDie();
+    table.AddRow({c.name, std::to_string(file.num_pages()),
+                  Table::Num(m.AvgFaults(), 1),
+                  Table::Num(m.AvgCpuMs(), 2)});
+    auto metrics = JsonReport::MeasurementMetrics(m);
+    metrics.emplace_back("pages", static_cast<double>(file.num_pages()));
+    report.AddConfig(c.name, std::move(metrics));
   }
   table.Print();
   if (auto st = report.WriteIfRequested(); !st.ok()) {
@@ -96,8 +81,6 @@ int main(int argc, char** argv) {
       "\nexpected: bisection packing faults least, then one global BFS\n"
       "(thin wavefront rings), both far below random placement\n"
       "(expansions touch co-located lists), at equal CPU -- justifying\n"
-      "the paper's locality-aware storage scheme. The v2 aligned records\n"
-      "pay ~33%% more pages/faults than the packed v1 records but serve\n"
-      "warm scans zero-copy (no per-edge decode).\n");
+      "the paper's locality-aware storage scheme.\n");
   return 0;
 }

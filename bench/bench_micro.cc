@@ -74,9 +74,9 @@ BENCHMARK(BM_HeapErase)->Arg(1 << 14);
 // Raw expansion throughput: full adjacency sweeps in BFS-neighborhood
 // order, the innermost loop of every RkNN algorithm. Items/sec counts
 // directed edges scanned. The GraphView case measures the pure
-// zero-copy CSR path; the StoredGraph cases measure the buffer-pool
-// path under the v1 (decode) and v2 (zero-copy lease) page layouts with
-// the paper's 256-page pool, fully warm.
+// zero-copy CSR path; the StoredGraph case measures the buffer-pool
+// path (page records decoded into the cursor) with the paper's 256-page
+// pool, fully warm.
 void ScanSweep(benchmark::State& state, const graph::Graph& g,
                const graph::NetworkView& view) {
   graph::NeighborCursor cursor;
@@ -105,29 +105,17 @@ void BM_NeighborScanGraphView(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborScanGraphView)->Unit(benchmark::kMillisecond);
 
-void NeighborScanStored(benchmark::State& state,
-                        storage::PageLayout layout) {
+void BM_NeighborScanStored(benchmark::State& state) {
   gen::RoadConfig cfg;
   cfg.num_nodes = 20000;
   auto net = gen::GenerateRoadNetwork(cfg).ValueOrDie();
   storage::MemoryDiskManager disk;
-  storage::GraphFileOptions opts;
-  opts.layout = layout;
-  auto file = storage::GraphFile::Build(net.g, &disk, opts).ValueOrDie();
+  auto file = storage::GraphFile::Build(net.g, &disk).ValueOrDie();
   storage::BufferPool pool(&disk, /*capacity_pages=*/256);
   storage::StoredGraph view(&file, &pool);
   ScanSweep(state, net.g, view);
 }
-
-void BM_NeighborScanStoredV1(benchmark::State& state) {
-  NeighborScanStored(state, storage::PageLayout::kV1Packed);
-}
-BENCHMARK(BM_NeighborScanStoredV1)->Unit(benchmark::kMillisecond);
-
-void BM_NeighborScanStoredV2(benchmark::State& state) {
-  NeighborScanStored(state, storage::PageLayout::kV2Aligned);
-}
-BENCHMARK(BM_NeighborScanStoredV2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NeighborScanStored)->Unit(benchmark::kMillisecond);
 
 void BM_DijkstraRoad(benchmark::State& state) {
   gen::RoadConfig cfg;

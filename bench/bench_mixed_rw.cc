@@ -221,8 +221,7 @@ int RunWalBench(const graph::Graph& g, const core::NodePointSet& points,
   {
     core::NodePointSet pts = points;
     auto env = BuildStoredRestricted(g, pts, knn_k, kDefaultPoolPages,
-                                     storage::kDefaultConcurrentShards,
-                                     storage::PageLayout::kV2Aligned)
+                                     storage::kDefaultConcurrentShards)
                    .ValueOrDie();
     auto engine = MakeRestrictedUpdatableEngine(env, pts).ValueOrDie();
     if (Status s = run_mixes("wal_off", engine); !s.ok()) {
@@ -242,8 +241,7 @@ int RunWalBench(const graph::Graph& g, const core::NodePointSet& points,
     auto wal_disk = std::make_unique<storage::MemoryDiskManager>();
     std::optional<storage::Wal> wal;
     auto env = BuildStoredRestricted(g, pts, knn_k, kDefaultPoolPages,
-                                     storage::kDefaultConcurrentShards,
-                                     storage::PageLayout::kV2Aligned)
+                                     storage::kDefaultConcurrentShards)
                    .ValueOrDie();
     wal = storage::Wal::Create(wal_disk.get()).ValueOrDie();
     env.pool->AttachWal(&*wal);
@@ -336,12 +334,10 @@ int main(int argc, char** argv) {
     return RunWalBench(g, points, kK, args);
   }
 
-  // Serving configuration: sharded pin table + the v2 aligned layout
-  // (zero-copy scans), unlike the paper-exact defaults of the figure
-  // benches.
+  // Serving configuration: sharded pin table, unlike the single-shard
+  // paper setting of the figure benches.
   auto env = BuildStoredRestricted(g, points, kK, kDefaultPoolPages,
-                                   storage::kDefaultConcurrentShards,
-                                   storage::PageLayout::kV2Aligned)
+                                   storage::kDefaultConcurrentShards)
                  .ValueOrDie();
   // The stored engine carries the registry (engine.* + per-shard
   // pool.*); the epoch_hub memory engine below stays unregistered —

@@ -141,13 +141,11 @@ Result<std::unique_ptr<storage::KnnFile>> CreateClusteredKnnFile(
 
 Result<StoredRestricted> BuildStoredRestricted(
     const graph::Graph& g, const core::NodePointSet& points, uint32_t K,
-    size_t pool_pages, size_t pool_shards, storage::PageLayout layout) {
+    size_t pool_pages, size_t pool_shards) {
   StoredRestricted env;
   env.disk = std::make_unique<storage::MemoryDiskManager>();
-  storage::GraphFileOptions gf_opts;
-  gf_opts.layout = layout;
-  GRNN_ASSIGN_OR_RETURN(
-      auto file, storage::GraphFile::Build(g, env.disk.get(), gf_opts));
+  GRNN_ASSIGN_OR_RETURN(auto file,
+                        storage::GraphFile::Build(g, env.disk.get()));
   env.file = std::make_unique<storage::GraphFile>(std::move(file));
   if (K > 0) {
     GRNN_ASSIGN_OR_RETURN(env.knn_file,
@@ -181,13 +179,11 @@ void StoredUnrestricted::ResetPool(size_t pages,
 
 Result<StoredUnrestricted> BuildStoredUnrestricted(
     const graph::Graph& g, const core::EdgePointSet& points, uint32_t K,
-    size_t pool_pages, size_t pool_shards, storage::PageLayout layout) {
+    size_t pool_pages, size_t pool_shards) {
   StoredUnrestricted env;
   env.disk = std::make_unique<storage::MemoryDiskManager>();
-  storage::GraphFileOptions gf_opts;
-  gf_opts.layout = layout;
-  GRNN_ASSIGN_OR_RETURN(
-      auto file, storage::GraphFile::Build(g, env.disk.get(), gf_opts));
+  GRNN_ASSIGN_OR_RETURN(auto file,
+                        storage::GraphFile::Build(g, env.disk.get()));
   env.file = std::make_unique<storage::GraphFile>(std::move(file));
   GRNN_ASSIGN_OR_RETURN(
       auto pf,

@@ -119,16 +119,12 @@ struct StoredRestricted {
 };
 
 /// Builds the paged environment; if K > 0, also materializes per-node
-/// K-NN lists (construction through a separate uncounted pool).
-/// The layout default here is the PAPER-EXACT v1 packed records (unlike
-/// GraphFileOptions, which defaults to the serving-optimized v2): the
+/// K-NN lists (construction through a separate uncounted pool). The
 /// figure benches reproduce the paper's page-access counts through these
-/// builders, exactly as they pin 1 pool shard for the global LRU order.
-/// Serving-oriented benches opt into v2 explicitly.
+/// builders with 1 pool shard, for the paper's global LRU order.
 Result<StoredRestricted> BuildStoredRestricted(
     const graph::Graph& g, const core::NodePointSet& points, uint32_t K,
-    size_t pool_pages = kDefaultPoolPages, size_t pool_shards = 1,
-    storage::PageLayout layout = storage::PageLayout::kV1Packed);
+    size_t pool_pages = kDefaultPoolPages, size_t pool_shards = 1);
 
 /// \brief Disk-resident unrestricted network: paged graph + edge-point
 /// file + optional KNN file behind one pool.
@@ -150,8 +146,7 @@ struct StoredUnrestricted {
 
 Result<StoredUnrestricted> BuildStoredUnrestricted(
     const graph::Graph& g, const core::EdgePointSet& points, uint32_t K,
-    size_t pool_pages = kDefaultPoolPages, size_t pool_shards = 1,
-    storage::PageLayout layout = storage::PageLayout::kV1Packed);
+    size_t pool_pages = kDefaultPoolPages, size_t pool_shards = 1);
 
 /// \brief One measured workload: CPU time + buffer-pool fault delta.
 struct Measurement {

@@ -115,9 +115,8 @@ Result<NnSearcher::VerifyOutcome> NnSearcher::Verify(
   heap_.Push(0.0, start);
   best_.Set(start, 0.0);
 
-  // k smallest competitor distances seen so far (ascending).
-  std::vector<Weight> competitors;
-  competitors.reserve(static_cast<size_t>(k));
+  // Grows with the competitors actually met, never with k itself.
+  competitors_.clear();
 
   while (!heap_.empty()) {
     auto [dist, node] = heap_.Pop();
@@ -133,7 +132,7 @@ Result<NnSearcher::VerifyOutcome> NnSearcher::Verify(
       // First query node settles at the exact distance d(candidate, q).
       // Success iff fewer than k competitors are STRICTLY closer.
       size_t strictly_closer = 0;
-      for (Weight c : competitors) {
+      for (Weight c : competitors_) {
         strictly_closer += DistLess(c, dist);
       }
       return VerifyOutcome{strictly_closer < static_cast<size_t>(k), dist};
@@ -141,14 +140,14 @@ Result<NnSearcher::VerifyOutcome> NnSearcher::Verify(
 
     PointId p = points_->PointAt(node);
     if (p != kInvalidPoint && p != candidate && p != exclude) {
-      if (competitors.size() < static_cast<size_t>(k)) {
-        competitors.push_back(dist);  // settles in ascending order
+      if (competitors_.size() < static_cast<size_t>(k)) {
+        competitors_.push_back(dist);  // settles in ascending order
       }
       // Early failure: once the k-th competitor is strictly closer than
       // the current frontier, every future query settlement is at least
       // frontier distance away, hence has >= k strictly closer points.
-      if (competitors.size() == static_cast<size_t>(k) &&
-          DistLess(competitors.back(), dist)) {
+      if (competitors_.size() == static_cast<size_t>(k) &&
+          DistLess(competitors_.back(), dist)) {
         return VerifyOutcome{false, kInfinity};
       }
     }
@@ -167,8 +166,8 @@ Result<NnSearcher::VerifyOutcome> NnSearcher::Verify(
     }
     // Early failure also triggers when the k-th competitor exists and the
     // frontier has moved strictly past it.
-    if (competitors.size() == static_cast<size_t>(k) && !heap_.empty() &&
-        DistLess(competitors.back(), heap_.top_key())) {
+    if (competitors_.size() == static_cast<size_t>(k) && !heap_.empty() &&
+        DistLess(competitors_.back(), heap_.top_key())) {
       return VerifyOutcome{false, kInfinity};
     }
   }

@@ -140,12 +140,9 @@ class NnSearcher {
   /// accounting).
   size_t CapacityFootprint() const {
     return heap_.slot_capacity() + best_.capacity() + settled_.capacity() +
-           query_mark_.capacity() + cursor_.scratch_capacity();
+           query_mark_.capacity() + cursor_.scratch_capacity() +
+           competitors_.capacity();
   }
-
-  /// Drops the pin the searcher's cursor may hold for its last span.
-  void ReleaseLease() { cursor_.Reset(); }
-  size_t held_pins() const { return cursor_.held_pins(); }
 
   /// range-NN(n, k, e): up to k nearest points with network distance
   /// STRICTLY smaller than `e`, ascending by distance. `exclude` (and any
@@ -195,6 +192,8 @@ class NnSearcher {
   StampedSet settled_;
   StampedSet query_mark_;
   graph::NeighborCursor cursor_;
+  // Verify: the k smallest competitor distances seen so far (ascending).
+  std::vector<Weight> competitors_;
 };
 
 }  // namespace grnn::core

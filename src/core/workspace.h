@@ -23,10 +23,10 @@
 // why main and aux expansions must not share one cursor. The searcher
 // carries a third cursor for the restricted NN primitives.
 //
-// Cursors may hold buffer-pool pins for their last span (the zero-copy
-// StoredGraph lease path). The engine calls ReleaseLeases() at the end
-// of every query so no pin survives a dispatch; standalone callers that
-// invalidate pools between queries should do the same.
+// Label cursors may hold buffer-pool pins for their last span (the
+// zero-copy LabelFile lease path). The engine calls ReleaseLeases() at
+// the end of every query so no pin survives a dispatch; standalone
+// callers that invalidate pools between queries should do the same.
 //
 // Small per-query transients (the lazy algorithms' per-node bookkeeping
 // maps, result vectors) are intentionally not pooled here; the counters
@@ -73,8 +73,8 @@ class SearchWorkspace {
 
   // --- Label-scan scratch (Algorithm::kHubLabel) ---
   // Cursors and per-point accumulation state of the hub-label
-  // primitives; their leases over stored label pages follow the same
-  // pin discipline as the neighbor cursors.
+  // primitives; their leases over stored label pages are dropped by
+  // ReleaseLeases().
   index::LabelWorkspace labels;
 
   // --- Shared scratch ---
@@ -110,22 +110,14 @@ class SearchWorkspace {
            searcher.CapacityFootprint() + labels.CapacityFootprint();
   }
 
-  /// Drops every buffer-pool pin the workspace's cursors may hold on
-  /// behalf of their last span (scratch capacity is kept). The engine
+  /// Drops every buffer-pool pin the workspace's label cursors may hold
+  /// on behalf of their last span (scratch capacity is kept). The engine
   /// calls this at the end of every dispatch — the pin discipline of
   /// DESIGN.md, "Neighbor access path".
-  void ReleaseLeases() {
-    nbr_cursor.Reset();
-    aux_nbr_cursor.Reset();
-    searcher.ReleaseLease();
-    labels.ReleaseLeases();
-  }
+  void ReleaseLeases() { labels.ReleaseLeases(); }
 
   /// Buffer-pool pins currently held by the workspace's cursors.
-  size_t held_pins() const {
-    return nbr_cursor.held_pins() + aux_nbr_cursor.held_pins() +
-           searcher.held_pins() + labels.held_pins();
-  }
+  size_t held_pins() const { return labels.held_pins(); }
 };
 
 }  // namespace grnn::core

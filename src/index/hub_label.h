@@ -49,9 +49,9 @@ class LabelFile;            // may install a page lease into a LabelCursor
 class PackedHubLabelIndex;  // decodes SoA labels into a LabelCursor
 
 /// One label entry: a hub node and the exact network distance to it.
-/// Deliberately layout-identical to AdjEntry (16 bytes, distance at
-/// offset 8) so the on-disk LabelFile can serve records zero-copy with
-/// the same v2 page discipline as storage::GraphFile.
+/// The on-disk LabelFile stores it bit-identically (16 bytes, distance
+/// at offset 8), so label scans can be served zero-copy from a pinned
+/// page.
 struct HubEntry {
   NodeId hub = kInvalidNode;
   Weight dist = 0;
@@ -65,11 +65,24 @@ static_assert(offsetof(HubEntry, hub) == 0);
 static_assert(offsetof(HubEntry, dist) == 8);
 static_assert(alignof(HubEntry) == 8);
 
+/// \brief Resource held on behalf of a live label span (a pinned
+/// buffer-pool frame). LabelFile implements it; the cursor only needs
+/// to drop and count it.
+class LabelLease {
+ public:
+  virtual ~LabelLease() = default;
+  /// Releases the held resources; the object itself stays allocated so
+  /// the cursor can reuse it for the next scan.
+  virtual void Drop() = 0;
+  /// Number of buffer-pool pins currently held (0 after Drop).
+  virtual size_t num_pins() const = 0;
+};
+
 /// \brief Per-scan label read state: a reusable decode buffer and the
 /// lease backing the most recent span — the LabelStore counterpart of
-/// graph::NeighborCursor, with the same lifetime rules: the span
-/// returned by Scan stays valid until the next Scan through the same
-/// cursor, Reset(), or destruction. Single-owner mutable state.
+/// graph::NeighborCursor. The span returned by Scan stays valid until
+/// the next Scan through the same cursor, Reset(), or destruction.
+/// Single-owner mutable state.
 class LabelCursor {
  public:
   LabelCursor() = default;
@@ -99,7 +112,7 @@ class LabelCursor {
   friend class PackedHubLabelIndex;
 
   std::vector<HubEntry> scratch_;
-  std::unique_ptr<graph::NeighborLease> lease_;
+  std::unique_ptr<LabelLease> lease_;
 };
 
 /// \brief Abstract label access for the RkNN-via-labels primitives.

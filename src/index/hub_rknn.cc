@@ -471,7 +471,6 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
     }
     GRNN_ASSIGN_OR_RETURN(qw, ViewEdgeWeightFor(g, q.position.u,
                                                 q.position.v, nbr_cursor));
-    nbr_cursor.Reset();
     if (q.position.u > q.position.v) {
       q.position = core::EdgePosition{q.position.v, q.position.u,
                                       qw - q.position.pos};

@@ -10,9 +10,8 @@ namespace grnn::index {
 
 namespace {
 
-// Cursor lease over one pinned frame: backs the zero-copy label spans,
-// the LabelFile counterpart of GraphFile's page lease.
-class LabelPageLease final : public graph::NeighborLease {
+// Cursor lease over one pinned frame: backs the zero-copy label spans.
+class LabelPageLease final : public LabelLease {
  public:
   void Drop() override { guard_.Release(); }
   // Guards from unbuffered pools own a private copy and pin nothing;

@@ -1,7 +1,7 @@
 // Copyright (c) GRNN authors.
 // LabelFile: the hub-label index persisted as a paged file, served
-// through the storage::BufferPool / PageGuard machinery with the same
-// zero-copy cursor-lease discipline as the v2 GraphFile (PR 4).
+// through the storage::BufferPool / PageGuard machinery with zero-copy
+// cursor leases (the only pins held across calls in the tree).
 //
 // Layout (all pages contiguous, starting at first_page):
 //
@@ -11,22 +11,21 @@
 //                    this file's page range + entry count). Read once at
 //                    Open into the memory-resident node index, exactly
 //                    like GraphFile's offsets.
-//   data pages       v2 discipline: a 16-byte page header carrying the
-//                    page's record count, then 16-byte records
-//                    bit-identical to the in-memory HubEntry. Labels
-//                    never straddle a page unless longer than a whole
-//                    page, so almost every scan is one pin. Longer
-//                    labels take runs of fresh pages; the rest are
-//                    packed best-fit decreasing into the free slots, so
-//                    data pages are not in node order (the directory
-//                    locates every label) and the no-straddle rule
-//                    costs only a few percent of the file.
+//   data pages       a 16-byte page header carrying the page's record
+//                    count, then 16-byte records bit-identical to the
+//                    in-memory HubEntry. Labels never straddle a page
+//                    unless longer than a whole page, so almost every
+//                    scan is one pin. Longer labels take runs of fresh
+//                    pages; the rest are packed best-fit decreasing
+//                    into the free slots, so data pages are not in node
+//                    order (the directory locates every label) and the
+//                    no-straddle rule costs only a few percent of the
+//                    file.
 //
-// Scans mirror GraphFile::ScanNeighbors: a label resident on one page of
-// a lease-friendly pool is served zero-copy (the LabelCursor holds the
-// RAII PageGuard pin until its next scan); page-straddling labels and
-// pools under lease pressure decode into the cursor's scratch buffer and
-// drop their pins before returning.
+// Scans: a label resident on one page of a lease-friendly pool is served
+// zero-copy (the LabelCursor holds the RAII PageGuard pin until its next
+// scan); page-straddling labels and pools under lease pressure decode
+// into the cursor's scratch buffer and drop their pins before returning.
 //
 // v3 (LabelLayout::kDelta, opt-in at Build) replaces the record stream
 // with one variable-length blob per label: the sorted hub ids as LEB128
@@ -130,8 +129,9 @@ class LabelFile {
   static Result<LabelFile> Open(storage::DiskManager* disk,
                                 PageId first_page);
 
-  /// Scans the label of `n` through `pool`, charging page I/O. Span
-  /// lifetime and zero-copy/degrade rules as in GraphFile::ScanNeighbors.
+  /// Scans the label of `n` through `pool`, charging page I/O. The span
+  /// stays valid until the next scan through `cursor`, its Reset, or its
+  /// destruction; zero-copy/degrade rules as in the file comment.
   Result<std::span<const HubEntry>> ScanLabel(storage::BufferPool* pool,
                                               NodeId n,
                                               LabelCursor& cursor) const;

@@ -46,13 +46,13 @@ enum class ReplacementPolicy {
 inline constexpr size_t kDefaultConcurrentShards = 8;
 
 /// Minimum per-shard frame budget before scans may HOLD pins across
-/// calls (the zero-copy lease path of GraphFile::ScanNeighbors). Below
+/// calls (the zero-copy lease path of LabelFile::ScanLabel). Below
 /// this, a handful of concurrently-held cursor leases could pin down a
 /// whole shard and starve nested scans into ResourceExhausted, so small
 /// pools serve scans by copy-and-unpin instead.
 ///
 /// Operating envelope: each serving thread holds <= 4 cursor pins
-/// (three workspace cursors + one transient), so 32 frames/shard
+/// (its label cursors plus transients), so 32 frames/shard
 /// absorbs up to 8 concurrent workers even if page-id residue skew
 /// lands EVERY held pin in one shard (the bound deliberately does not
 /// assume an even spread), while keeping the paper-scale pools (256
@@ -182,7 +182,7 @@ class BufferPool {
   /// True when callers may hold page pins across calls (cursor leases):
   /// unbuffered pools hand out private copies (nothing is pinned), and
   /// buffered pools need kMinFramesPerShardForLease frames per shard so
-  /// held leases cannot exhaust a shard — see graph_file.h and DESIGN.md,
+  /// held leases cannot exhaust a shard — see label_file.h and DESIGN.md,
   /// "Neighbor access path".
   bool lease_friendly() const {
     return capacity_ == 0 ||

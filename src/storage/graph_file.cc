@@ -1,5 +1,7 @@
 #include "storage/graph_file.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/string_util.h"
@@ -8,107 +10,20 @@ namespace grnn::storage {
 
 namespace {
 
-// Cursor lease over one pinned frame: backs the zero-copy v2 spans. The
-// only NeighborLease implementation in the tree (GraphFile is the sole
-// installer), so ScanNeighbors may static_cast a cursor's lease back.
-class PageLease final : public graph::NeighborLease {
- public:
-  void Drop() override { guard_.Release(); }
-  // Guards from unbuffered pools own a private copy and pin nothing;
-  // only report real frame pins.
-  size_t num_pins() const override {
-    return guard_.pins_frame() ? 1 : 0;
-  }
-
-  PageGuard guard_;
-};
-
-// Appends raw bytes to a page-building stream, allocating pages on demand
-// (the v1 packed layout: no page header, 12-byte records).
+// Slot-granular page writer: every page carries a GraphPageHeader
+// followed by packed 12-byte records. The page buffer stays zeroed
+// between pages, so page tails are deterministic on disk.
 class PageWriter {
  public:
-  PageWriter(DiskManager* disk, size_t page_size)
-      : disk_(disk), page_size_(page_size), buffer_(page_size, 0) {}
-
-  uint64_t position() const {
-    return static_cast<uint64_t>(pages_written_) * page_size_ + fill_;
-  }
-
-  size_t remaining_in_page() const { return page_size_ - fill_; }
-
-  Result<PageId> first_page() const {
-    if (first_page_ == kInvalidPage) {
-      return Status::FailedPrecondition("no pages written yet");
-    }
-    return first_page_;
-  }
-
-  size_t pages_flushed_or_open() const {
-    return pages_written_ + (fill_ > 0 ? 1 : 0);
-  }
-
-  Status Append(const uint8_t* data, size_t len) {
-    while (len > 0) {
-      size_t chunk = std::min(len, page_size_ - fill_);
-      std::memcpy(buffer_.data() + fill_, data, chunk);
-      fill_ += chunk;
-      data += chunk;
-      len -= chunk;
-      if (fill_ == page_size_) {
-        GRNN_RETURN_NOT_OK(FlushPage());
-      }
-    }
-    return Status::OK();
-  }
-
-  Status PadToPageBoundary() {
-    if (fill_ > 0) {
-      std::memset(buffer_.data() + fill_, 0, page_size_ - fill_);
-      fill_ = page_size_;
-      GRNN_RETURN_NOT_OK(FlushPage());
-    }
-    return Status::OK();
-  }
-
-  Status Finish() { return PadToPageBoundary(); }
-
- private:
-  Status FlushPage() {
-    GRNN_ASSIGN_OR_RETURN(PageId id, disk_->AllocatePage());
-    if (first_page_ == kInvalidPage) {
-      first_page_ = id;
-    } else if (id != first_page_ + pages_written_) {
-      return Status::Internal("graph file pages are not contiguous");
-    }
-    GRNN_RETURN_NOT_OK(disk_->WritePage(id, buffer_.data()));
-    pages_written_++;
-    fill_ = 0;
-    return Status::OK();
-  }
-
-  DiskManager* disk_;
-  size_t page_size_;
-  std::vector<uint8_t> buffer_;
-  size_t fill_ = 0;
-  size_t pages_written_ = 0;
-  PageId first_page_ = kInvalidPage;
-};
-
-// Slot-granular writer for the v2 aligned layout: every page carries a
-// V2PageHeader followed by 16-byte AdjEntry-identical records. The page
-// buffer stays zeroed between records, so record padding bytes and page
-// tails are deterministic on disk.
-class V2PageWriter {
- public:
-  V2PageWriter(DiskManager* disk, size_t page_size)
+  PageWriter(DiskManager* disk, size_t page_size, size_t slots_per_page)
       : disk_(disk),
         page_size_(page_size),
-        slots_per_page_((page_size - kV2HeaderBytes) / kV2RecordBytes),
+        slots_per_page_(slots_per_page),
         buffer_(page_size, 0) {}
 
   uint64_t position() const {
     return static_cast<uint64_t>(pages_written_) * page_size_ +
-           kV2HeaderBytes + slot_fill_ * kV2RecordBytes;
+           kGraphPageHeaderBytes + slot_fill_ * kAdjEntryBytes;
   }
 
   size_t remaining_slots() const { return slots_per_page_ - slot_fill_; }
@@ -126,11 +41,10 @@ class V2PageWriter {
   }
 
   Status AppendEntry(const AdjEntry& a) {
-    uint8_t* rec = buffer_.data() + kV2HeaderBytes +
-                   slot_fill_ * kV2RecordBytes;
-    std::memcpy(rec + offsetof(AdjEntry, node), &a.node, sizeof(a.node));
-    std::memcpy(rec + offsetof(AdjEntry, weight), &a.weight,
-                sizeof(a.weight));
+    uint8_t* rec = buffer_.data() + kGraphPageHeaderBytes +
+                   slot_fill_ * kAdjEntryBytes;
+    std::memcpy(rec, &a.node, sizeof(uint32_t));
+    std::memcpy(rec + sizeof(uint32_t), &a.weight, sizeof(double));
     if (++slot_fill_ == slots_per_page_) {
       GRNN_RETURN_NOT_OK(FlushPage());
     }
@@ -144,12 +58,10 @@ class V2PageWriter {
     return Status::OK();
   }
 
-  Status Finish() { return PadToPageBoundary(); }
-
  private:
   Status FlushPage() {
-    V2PageHeader header;
-    header.magic = kV2Magic;
+    GraphPageHeader header;
+    header.magic = kGraphPageMagic;
     header.entry_count = static_cast<uint32_t>(slot_fill_);
     std::memcpy(buffer_.data(), &header, sizeof(header));
     GRNN_ASSIGN_OR_RETURN(PageId id, disk_->AllocatePage());
@@ -176,16 +88,6 @@ class V2PageWriter {
 
 }  // namespace
 
-const char* PageLayoutName(PageLayout layout) {
-  switch (layout) {
-    case PageLayout::kV1Packed:
-      return "v1-packed";
-    case PageLayout::kV2Aligned:
-      return "v2-aligned";
-  }
-  return "unknown";
-}
-
 Result<GraphFile> GraphFile::Build(const graph::Graph& g,
                                    DiskManager* disk,
                                    const GraphFileOptions& options) {
@@ -197,64 +99,34 @@ Result<GraphFile> GraphFile::Build(const graph::Graph& g,
   }
 
   GraphFile file;
-  file.layout_ = options.layout;
   file.page_size_ = disk->page_size();
+  if (file.page_size_ < kGraphPageHeaderBytes + kAdjEntryBytes) {
+    return Status::InvalidArgument(StrPrintf(
+        "page size %zu cannot hold a page header plus one record",
+        file.page_size_));
+  }
+  file.slots_per_page_ =
+      (file.page_size_ - kGraphPageHeaderBytes) / kAdjEntryBytes;
   file.num_edges_ = g.num_edges();
   file.offsets_.assign(g.num_nodes(), 0);
   file.degrees_.assign(g.num_nodes(), 0);
 
-  std::vector<NodeId> order =
-      ComputeNodeOrder(g, options.order, options.seed);
-
-  if (options.layout == PageLayout::kV2Aligned) {
-    if (file.page_size_ < kV2HeaderBytes + kV2RecordBytes) {
-      return Status::InvalidArgument(StrPrintf(
-          "page size %zu cannot hold a v2 header plus one record",
-          file.page_size_));
-    }
-    V2PageWriter writer(disk, file.page_size_);
-    for (NodeId n : order) {
-      auto nbrs = g.Neighbors(n);
-      if (options.pad_to_page_boundaries && !nbrs.empty() &&
-          nbrs.size() <= writer.slots_per_page() &&
-          nbrs.size() > writer.remaining_slots()) {
-        GRNN_RETURN_NOT_OK(writer.PadToPageBoundary());
-      }
-      file.offsets_[n] = writer.position();
-      file.degrees_[n] = static_cast<uint32_t>(nbrs.size());
-      for (const AdjEntry& a : nbrs) {
-        GRNN_RETURN_NOT_OK(writer.AppendEntry(a));
-      }
-    }
-    GRNN_RETURN_NOT_OK(writer.Finish());
-    GRNN_ASSIGN_OR_RETURN(file.first_page_, writer.first_page());
-    file.num_pages_ = writer.pages_flushed_or_open();
-    return file;
-  }
-
-  PageWriter writer(disk, file.page_size_);
-  std::vector<uint8_t> scratch;
-  for (NodeId n : order) {
+  PageWriter writer(disk, file.page_size_, file.slots_per_page_);
+  for (NodeId n : ComputeNodeOrder(g, options.order, options.seed)) {
     auto nbrs = g.Neighbors(n);
-    const size_t list_bytes = nbrs.size() * kAdjEntryBytes;
-    if (options.pad_to_page_boundaries && list_bytes > 0 &&
-        list_bytes <= file.page_size_ &&
-        list_bytes > writer.remaining_in_page()) {
+    // A list that fits on a page starts on a fresh one rather than
+    // straddle the boundary.
+    if (!nbrs.empty() && nbrs.size() <= writer.slots_per_page() &&
+        nbrs.size() > writer.remaining_slots()) {
       GRNN_RETURN_NOT_OK(writer.PadToPageBoundary());
     }
     file.offsets_[n] = writer.position();
     file.degrees_[n] = static_cast<uint32_t>(nbrs.size());
-
-    scratch.resize(list_bytes);
-    uint8_t* p = scratch.data();
     for (const AdjEntry& a : nbrs) {
-      std::memcpy(p, &a.node, sizeof(uint32_t));
-      std::memcpy(p + sizeof(uint32_t), &a.weight, sizeof(double));
-      p += kAdjEntryBytes;
+      GRNN_RETURN_NOT_OK(writer.AppendEntry(a));
     }
-    GRNN_RETURN_NOT_OK(writer.Append(scratch.data(), list_bytes));
   }
-  GRNN_RETURN_NOT_OK(writer.Finish());
+  GRNN_RETURN_NOT_OK(writer.PadToPageBoundary());
   GRNN_ASSIGN_OR_RETURN(file.first_page_, writer.first_page());
   file.num_pages_ = writer.pages_flushed_or_open();
   return file;
@@ -268,115 +140,60 @@ Result<std::span<const AdjEntry>> GraphFile::ScanNeighbors(
   if (pool == nullptr) {
     return Status::InvalidArgument("buffer pool is null");
   }
-  // Invalidate the cursor's previous span first: its pin (possibly the
-  // last frame of a small shard) must not block this scan's Acquire.
-  cursor.Reset();
   const uint32_t degree = degrees_[n];
-  if (degree == 0) {
-    return std::span<const AdjEntry>();
-  }
-
-  if (layout_ == PageLayout::kV2Aligned) {
-    const uint64_t off = offsets_[n];
-    const size_t in_page = static_cast<size_t>(off % page_size_);
-    const size_t slots_here = (page_size_ - in_page) / kV2RecordBytes;
-    if (degree <= slots_here) {
-      // Whole list on one page: serve it straight from the frame.
-      const PageId page =
-          first_page_ + static_cast<PageId>(off / page_size_);
-      GRNN_ASSIGN_OR_RETURN(PageGuard guard, pool->Acquire(page));
-      const uint8_t* base = guard.data() + in_page;
-      GRNN_DCHECK(reinterpret_cast<uintptr_t>(base) % alignof(AdjEntry) ==
-                  0);
-      const auto* records = reinterpret_cast<const AdjEntry*>(base);
-      if (pool->lease_friendly(page)) {
-        // Zero-copy: the cursor leases the pin for the span's lifetime.
-        if (cursor.lease_ == nullptr) {
-          cursor.lease_ = std::make_unique<PageLease>();
-        }
-        static_cast<PageLease*>(cursor.lease_.get())->guard_ =
-            std::move(guard);
-        return std::span<const AdjEntry>(records, degree);
-      }
-      // Tiny pool or shard under lease pressure: copy and unpin so held
-      // cursors cannot exhaust the shard.
-      cursor.scratch_.resize(degree);
-      std::memcpy(cursor.scratch_.data(), base,
-                  degree * sizeof(AdjEntry));
-      return std::span<const AdjEntry>(cursor.scratch_.data(), degree);
-    }
-    GRNN_RETURN_NOT_OK(AssembleV2(pool, n, cursor.scratch_));
-    return std::span<const AdjEntry>(cursor.scratch_.data(), degree);
-  }
-
-  GRNN_RETURN_NOT_OK(ScanV1(pool, n, cursor.scratch_));
-  return std::span<const AdjEntry>(cursor.scratch_.data(), degree);
-}
-
-Status GraphFile::AssembleV2(BufferPool* pool, NodeId n,
-                             std::vector<AdjEntry>& scratch) const {
-  const uint32_t degree = degrees_[n];
+  std::vector<AdjEntry>& scratch = cursor.scratch_;
   scratch.resize(degree);
-  uint64_t off = offsets_[n];
+  auto [page, slot] = Locate(n);
   size_t filled = 0;
   while (filled < degree) {
-    const PageId page =
-        first_page_ + static_cast<PageId>(off / page_size_);
-    const size_t in_page = static_cast<size_t>(off % page_size_);
-    const size_t take = std::min<size_t>(
-        degree - filled, (page_size_ - in_page) / kV2RecordBytes);
-    GRNN_ASSIGN_OR_RETURN(PageGuard guard, pool->Acquire(page));
-#ifndef NDEBUG
-    V2PageHeader header;
-    std::memcpy(&header, guard.data(), sizeof(header));
-    GRNN_DCHECK(header.magic == kV2Magic);
-    GRNN_DCHECK((in_page - kV2HeaderBytes) / kV2RecordBytes + take <=
-                header.entry_count);
-#endif
-    std::memcpy(scratch.data() + filled, guard.data() + in_page,
-                take * kV2RecordBytes);
+    const size_t take =
+        std::min<size_t>(degree - filled, slots_per_page_ - slot);
+    const PageId id = first_page_ + page;
+    GRNN_ASSIGN_OR_RETURN(PageGuard guard, pool->Acquire(id));
+    GRNN_RETURN_NOT_OK(DecodeRecords(guard.data(), id, slot, take,
+                                     scratch.data() + filled));
     filled += take;
-    // Continuation records start behind the next page's header.
-    off = (off / page_size_ + 1) * page_size_ + kV2HeaderBytes;
+    // A longer list continues behind the next page's header.
+    ++page;
+    slot = 0;
   }
-  return Status::OK();
+  return std::span<const AdjEntry>(scratch.data(), degree);
 }
 
-Status GraphFile::ScanV1(BufferPool* pool, NodeId n,
-                         std::vector<AdjEntry>& scratch) const {
-  const uint32_t degree = degrees_[n];
-  scratch.clear();
-  scratch.reserve(degree);
+std::pair<PageId, size_t> GraphFile::Locate(NodeId n) const {
+  const uint64_t off = offsets_[n];
+  return {static_cast<PageId>(off / page_size_),
+          (static_cast<size_t>(off % page_size_) - kGraphPageHeaderBytes) /
+              kAdjEntryBytes};
+}
 
-  uint64_t pos = offsets_[n];
-  size_t bytes_left = degree * kAdjEntryBytes;
-  uint8_t entry[kAdjEntryBytes];
-  size_t entry_fill = 0;
-
-  while (bytes_left > 0) {
-    const PageId page =
-        first_page_ + static_cast<PageId>(pos / page_size_);
-    const size_t in_page = static_cast<size_t>(pos % page_size_);
-    GRNN_ASSIGN_OR_RETURN(PageGuard guard, pool->Acquire(page));
-    const uint8_t* data = guard.data();
-    size_t avail = std::min(bytes_left, page_size_ - in_page);
-    size_t offset = in_page;
-    while (avail > 0) {
-      size_t need = kAdjEntryBytes - entry_fill;
-      size_t take = std::min(need, avail);
-      std::memcpy(entry + entry_fill, data + offset, take);
-      entry_fill += take;
-      offset += take;
-      avail -= take;
-      pos += take;
-      bytes_left -= take;
-      if (entry_fill == kAdjEntryBytes) {
-        AdjEntry a;
-        std::memcpy(&a.node, entry, sizeof(uint32_t));
-        std::memcpy(&a.weight, entry + sizeof(uint32_t), sizeof(double));
-        scratch.push_back(a);
-        entry_fill = 0;
-      }
+Status GraphFile::DecodeRecords(const uint8_t* page, PageId id,
+                                size_t first_slot, size_t count,
+                                AdjEntry* out) const {
+  GraphPageHeader header;
+  std::memcpy(&header, page, sizeof(header));
+  if (header.magic != kGraphPageMagic) {
+    return Status::Corruption(
+        StrPrintf("graph page %u has bad magic 0x%08x", id, header.magic));
+  }
+  if (header.entry_count > slots_per_page_ ||
+      first_slot + count > header.entry_count) {
+    return Status::Corruption(StrPrintf(
+        "graph page %u holds %u records, scan needs slots [%zu, %zu)", id,
+        header.entry_count, first_slot, first_slot + count));
+  }
+  const uint8_t* rec =
+      page + kGraphPageHeaderBytes + first_slot * kAdjEntryBytes;
+  for (size_t i = 0; i < count; ++i, rec += kAdjEntryBytes) {
+    AdjEntry& a = out[i];
+    std::memcpy(&a.node, rec, sizeof(uint32_t));
+    std::memcpy(&a.weight, rec + sizeof(uint32_t), sizeof(double));
+    if (a.node >= degrees_.size() || !(a.weight > 0) ||
+        !std::isfinite(a.weight)) {
+      return Status::Corruption(StrPrintf(
+          "graph page %u slot %zu holds invalid record (node %u, "
+          "weight %g)",
+          id, first_slot + i, a.node, a.weight));
     }
   }
   return Status::OK();
@@ -387,20 +204,12 @@ size_t GraphFile::PagesSpanned(NodeId n) const {
   if (degrees_[n] == 0) {
     return 1;
   }
-  if (layout_ == PageLayout::kV2Aligned) {
-    const uint64_t off = offsets_[n];
-    const size_t in_page = static_cast<size_t>(off % page_size_);
-    const size_t slots_first = (page_size_ - in_page) / kV2RecordBytes;
-    if (degrees_[n] <= slots_first) {
-      return 1;
-    }
-    const size_t rest = degrees_[n] - slots_first;
-    return 2 + (rest - 1) / V2SlotsPerPage();
+  const size_t slots_first = slots_per_page_ - Locate(n).second;
+  if (degrees_[n] <= slots_first) {
+    return 1;
   }
-  const uint64_t begin = offsets_[n];
-  const uint64_t end = begin + degrees_[n] * kAdjEntryBytes;
-  return static_cast<size_t>((end - 1) / page_size_ - begin / page_size_) +
-         1;
+  const size_t rest = degrees_[n] - slots_first;
+  return 2 + (rest - 1) / slots_per_page_;
 }
 
 }  // namespace grnn::storage

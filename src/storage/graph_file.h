@@ -5,30 +5,27 @@
 // clustering of [2]; see storage/partitioner.h), plus a memory-resident
 // index mapping node id -> list location.
 //
-// Two on-page record formats exist (GraphFileOptions::layout):
+// One page format. Every page starts with a 16-byte GraphPageHeader
+// (magic, record count, 8 reserved bytes for a page checksum), followed
+// by the paper's packed records: (neighbor: uint32, weight: double) = 12
+// bytes each, back to back. Records never straddle a page, and lists
+// never straddle one unless they are longer than a whole page: the tail
+// of a page that cannot fit the next list is left as padding, exactly
+// like slotted grouping in the paper's scheme. A longer list continues
+// behind the header of the following pages.
 //
-//   * kV1Packed — the paper-exact serialization: each adjacency entry is
-//     (neighbor: uint32, weight: double) = 12 bytes, packed back to back.
-//     Lists never straddle a page boundary unless they are longer than a
-//     whole page; the tail of a page that cannot fit the next list is
-//     left as padding, exactly like slotted grouping in the paper's
-//     scheme. Reads decode into the cursor's scratch buffer.
-//
-//   * kV2Aligned (default) — records are bit-identical to the in-memory
-//     AdjEntry (16 bytes, weight at offset 8), preceded by a 16-byte page
-//     header carrying the page's entry count. A list resident on one page
-//     is served ZERO-COPY: the scan pins the frame (an RAII PageGuard
-//     lease held by the cursor) and returns a span straight into the
-//     page. The 16-vs-12-byte record is the classic space-for-decode
-//     trade: ~33% more pages, no per-edge decode on the hot path. The
-//     packing ablation sweeps both.
+// Every scan decodes into the cursor's scratch buffer and validates what
+// it reads: a page whose magic or record count is wrong, or a record
+// naming a neighbor outside the graph or carrying a weight that is not
+// finite and positive, fails the scan with Status::Corruption. No pin
+// outlives a scan.
 
 #ifndef GRNN_STORAGE_GRAPH_FILE_H_
 #define GRNN_STORAGE_GRAPH_FILE_H_
 
 #include <cstddef>
 #include <span>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -41,43 +38,22 @@
 
 namespace grnn::storage {
 
-/// Serialized size of one v1 adjacency entry (uint32 id + double weight).
+/// Serialized size of one adjacency record (uint32 id + double weight).
 inline constexpr size_t kAdjEntryBytes = sizeof(uint32_t) + sizeof(double);
 
-/// On-page record format of the adjacency file.
-enum class PageLayout : uint8_t {
-  kV1Packed,   // paper-exact 12-byte records (compat / ablation mode)
-  kV2Aligned,  // AdjEntry-identical 16-byte records behind a page header
-};
-
-const char* PageLayoutName(PageLayout layout);
-
-/// v2 serves spans straight out of the page: the on-page record must be
-/// byte-identical to the in-memory AdjEntry.
-static_assert(std::is_trivially_copyable_v<AdjEntry>);
-static_assert(sizeof(AdjEntry) == 16, "v2 records are 16-byte AdjEntry");
-static_assert(offsetof(AdjEntry, node) == 0);
-static_assert(offsetof(AdjEntry, weight) == 8);
-static_assert(alignof(AdjEntry) == 8);
-
-/// Header at the start of every v2 page. Sized to one record slot so the
-/// records behind it stay 16-byte aligned relative to the page base.
-struct V2PageHeader {
-  uint32_t magic = 0;        // kV2Magic
+/// Header at the start of every adjacency page.
+struct GraphPageHeader {
+  uint32_t magic = 0;        // kGraphPageMagic
   uint32_t entry_count = 0;  // records stored on this page
-  uint64_t reserved = 0;
+  uint64_t reserved = 0;     // zero; room for a page checksum
 };
-static_assert(sizeof(V2PageHeader) == 16);
+static_assert(sizeof(GraphPageHeader) == 16);
 
-inline constexpr uint32_t kV2Magic = 0x47524e32u;  // "GRN2"
-inline constexpr size_t kV2HeaderBytes = sizeof(V2PageHeader);
-inline constexpr size_t kV2RecordBytes = sizeof(AdjEntry);
+inline constexpr uint32_t kGraphPageMagic = 0x47524e50u;  // "GRNP"
+inline constexpr size_t kGraphPageHeaderBytes = sizeof(GraphPageHeader);
 
 struct GraphFileOptions {
   NodeOrder order = NodeOrder::kBisection;
-  PageLayout layout = PageLayout::kV2Aligned;
-  /// Avoid splitting sub-page lists across page boundaries.
-  bool pad_to_page_boundaries = true;
   /// Seed for NodeOrder::kRandom.
   uint64_t seed = 42;
 };
@@ -85,28 +61,22 @@ struct GraphFileOptions {
 /// \brief Paged adjacency-list file with a memory-resident node index.
 class GraphFile {
  public:
-  /// Serializes `g` into fresh pages of `disk`. v2 requires the disk's
-  /// page size to be a multiple of 16 with room for at least one record
-  /// behind the header.
+  /// Serializes `g` into fresh pages of `disk`. The page size must leave
+  /// room for at least one record behind the header.
   static Result<GraphFile> Build(const graph::Graph& g, DiskManager* disk,
                                  const GraphFileOptions& options = {});
 
   /// Scans the adjacency list of `n` through `pool`, charging page I/O.
-  /// Returns a span valid until the next scan through `cursor`, cursor
-  /// Reset, or cursor destruction (see network_view.h for the full
-  /// lifetime rules). Zero-copy when the layout is v2, the list sits on
-  /// one page and the pool is lease_friendly(page) — which also degrades
-  /// scans to copy mode while the page's shard is under lease pressure
-  /// (pin-reservation guard); otherwise the entries are decoded into the
-  /// cursor's scratch buffer and the page pins are dropped before
-  /// returning.
+  /// The entries are decoded into the cursor's scratch buffer, so the
+  /// span stays valid until the next scan through `cursor` or its
+  /// destruction; the page pins are dropped before returning.
+  /// Corruption when a page or record fails validation.
   Result<std::span<const AdjEntry>> ScanNeighbors(
       BufferPool* pool, NodeId n, graph::NeighborCursor& cursor) const;
 
   NodeId num_nodes() const { return static_cast<NodeId>(degrees_.size()); }
   size_t num_edges() const { return num_edges_; }
   uint32_t Degree(NodeId n) const { return degrees_[n]; }
-  PageLayout layout() const { return layout_; }
 
   /// Pages occupied by adjacency data.
   size_t num_pages() const { return num_pages_; }
@@ -120,24 +90,22 @@ class GraphFile {
  private:
   GraphFile() = default;
 
-  Status ScanV1(BufferPool* pool, NodeId n,
-                std::vector<AdjEntry>& scratch) const;
-  Status AssembleV2(BufferPool* pool, NodeId n,
-                    std::vector<AdjEntry>& scratch) const;
+  /// Node index entry of `n`: the page holding its first record, relative
+  /// to first_page_, and that record's slot on the page.
+  std::pair<PageId, size_t> Locate(NodeId n) const;
+  /// Validates the header of `page` and decodes `count` records starting
+  /// at record `first_slot` into `out`.
+  Status DecodeRecords(const uint8_t* page, PageId id, size_t first_slot,
+                       size_t count, AdjEntry* out) const;
 
-  /// Records one v2 page can hold.
-  size_t V2SlotsPerPage() const {
-    return (page_size_ - kV2HeaderBytes) / kV2RecordBytes;
-  }
-
-  PageLayout layout_ = PageLayout::kV2Aligned;
   size_t page_size_ = 0;
+  size_t slots_per_page_ = 0;  // records one page holds behind its header
   size_t num_edges_ = 0;
   size_t num_pages_ = 0;
   PageId first_page_ = kInvalidPage;
-  // Node index (memory-resident, as in Fig 3b): byte offset of each list
-  // within this file's page range (v2: offset of the first record, page
-  // headers included in the byte count), plus its length in entries.
+  // Node index (memory-resident, as in Fig 3b): byte offset of each
+  // list's first record within this file's page range (page headers
+  // included in the byte count), plus its length in entries.
   std::vector<uint64_t> offsets_;
   std::vector<uint32_t> degrees_;
 };

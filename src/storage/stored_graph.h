@@ -14,9 +14,8 @@
 namespace grnn::storage {
 
 /// \brief Disk-backed NetworkView. Every Scan goes through the buffer
-/// pool; misses count as the paper's page accesses. With the v2 page
-/// layout and a lease-friendly pool, a scan returns a span straight into
-/// the pinned frame — the cursor holds the pin until its next scan (see
+/// pool; misses count as the paper's page accesses. A scan decodes into
+/// the cursor's scratch buffer and holds no pin once it returns (see
 /// network_view.h for the lifetime rules).
 class StoredGraph final : public graph::NetworkView {
  public:

@@ -498,10 +498,9 @@ TEST_P(DifferentialHarness, UpdateBurstsKeepStoresAndMatrixExact) {
 }
 
 // The storage-equivalence phase: the same spec matrix answered through
-// disk-backed StoredGraph views must match the in-memory GraphView
-// engine bit-for-bit (points, hosting nodes, distances), for BOTH page
-// layouts — v1 packed (cursor-decode path) and v2 aligned (zero-copy
-// lease path) — serially and through the parallel batch path.
+// a disk-backed StoredGraph view must match the in-memory GraphView
+// engine bit-for-bit (points, hosting nodes, distances), serially and
+// through the parallel batch path.
 struct StoredWorld {
   std::unique_ptr<storage::MemoryDiskManager> disk;
   std::unique_ptr<storage::GraphFile> file;
@@ -509,26 +508,22 @@ struct StoredWorld {
   std::unique_ptr<storage::StoredGraph> view;
 };
 
-StoredWorld MakeStoredWorld(const graph::Graph& g,
-                            storage::PageLayout layout) {
+StoredWorld MakeStoredWorld(const graph::Graph& g) {
   StoredWorld sw;
-  // 512-byte pages so the small worlds still span many pages; 64-frame
-  // pool: lease-friendly, exercising the held-pin path under v2.
+  // 512-byte pages so the small worlds still span many pages.
   sw.disk = std::make_unique<storage::MemoryDiskManager>(512);
-  storage::GraphFileOptions opts;
-  opts.layout = layout;
   sw.file = std::make_unique<storage::GraphFile>(
-      storage::GraphFile::Build(g, sw.disk.get(), opts).ValueOrDie());
+      storage::GraphFile::Build(g, sw.disk.get()).ValueOrDie());
   sw.pool = std::make_unique<storage::BufferPool>(sw.disk.get(), 64);
   sw.view =
       std::make_unique<storage::StoredGraph>(sw.file.get(), sw.pool.get());
   return sw;
 }
 
-TEST_P(DifferentialHarness, StoredLayoutsMatchMemoryEngineBitForBit) {
+TEST_P(DifferentialHarness, StoredGraphMatchesMemoryEngineBitForBit) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   SCOPED_TRACE("replay: differential_test seed=" + std::to_string(seed) +
-               " (stored-layout phase)");
+               " (stored-graph phase)");
   auto w = MakeWorld(seed);
   Rng rng(seed * 977 + 13);
 
@@ -547,64 +542,54 @@ TEST_P(DifferentialHarness, StoredLayoutsMatchMemoryEngineBitForBit) {
   auto edge_want = mem_edge.RunBatch(edge_specs);
   ASSERT_TRUE(edge_want.ok());
 
-  for (storage::PageLayout layout :
-       {storage::PageLayout::kV1Packed,
-        storage::PageLayout::kV2Aligned}) {
-    SCOPED_TRACE(std::string("layout=") +
-                 storage::PageLayoutName(layout));
-    StoredWorld sw = MakeStoredWorld(w->g, layout);
+  StoredWorld sw = MakeStoredWorld(w->g);
 
-    EngineSources node_sources;
-    node_sources.graph = sw.view.get();
-    node_sources.points = &w->points;
-    node_sources.sites = &w->sites;
-    node_sources.knn = &w->knn;
-    node_sources.site_knn = &w->site_knn;
-    node_sources.pool = sw.pool.get();
-    RknnEngine stored_node =
-        RknnEngine::Create(node_sources).ValueOrDie();
+  EngineSources node_sources;
+  node_sources.graph = sw.view.get();
+  node_sources.points = &w->points;
+  node_sources.sites = &w->sites;
+  node_sources.knn = &w->knn;
+  node_sources.site_knn = &w->site_knn;
+  node_sources.pool = sw.pool.get();
+  RknnEngine stored_node = RknnEngine::Create(node_sources).ValueOrDie();
 
-    auto serial = stored_node.RunBatch(node_specs);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    for (size_t i = 0; i < node_specs.size(); ++i) {
-      EXPECT_EQ(serial->results[i].results, node_want->results[i].results)
-          << "spec=" << i;
-    }
-    EXPECT_EQ(sw.pool->num_pinned(), 0u);
-    auto parallel =
-        stored_node.RunBatch(node_specs, ParallelOptions{4, 5});
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    for (size_t i = 0; i < node_specs.size(); ++i) {
-      EXPECT_EQ(parallel->results[i].results,
-                node_want->results[i].results)
-          << "spec=" << i << " (parallel)";
-    }
-    EXPECT_EQ(sw.pool->num_pinned(), 0u);
-
-    EngineSources edge_sources;
-    edge_sources.graph = sw.view.get();
-    edge_sources.edge_points = &w->edge_points;
-    edge_sources.knn = &w->edge_knn;
-    edge_sources.pool = sw.pool.get();
-    RknnEngine stored_edge =
-        RknnEngine::Create(edge_sources).ValueOrDie();
-    auto edge_serial = stored_edge.RunBatch(edge_specs);
-    ASSERT_TRUE(edge_serial.ok()) << edge_serial.status().ToString();
-    for (size_t i = 0; i < edge_specs.size(); ++i) {
-      EXPECT_EQ(edge_serial->results[i].results,
-                edge_want->results[i].results)
-          << "spec=" << i;
-    }
-    auto edge_parallel =
-        stored_edge.RunBatch(edge_specs, ParallelOptions{4, 3});
-    ASSERT_TRUE(edge_parallel.ok()) << edge_parallel.status().ToString();
-    for (size_t i = 0; i < edge_specs.size(); ++i) {
-      EXPECT_EQ(edge_parallel->results[i].results,
-                edge_want->results[i].results)
-          << "spec=" << i << " (parallel)";
-    }
-    EXPECT_EQ(sw.pool->num_pinned(), 0u);
+  auto serial = stored_node.RunBatch(node_specs);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  for (size_t i = 0; i < node_specs.size(); ++i) {
+    EXPECT_EQ(serial->results[i].results, node_want->results[i].results)
+        << "spec=" << i;
   }
+  EXPECT_EQ(sw.pool->num_pinned(), 0u);
+  auto parallel = stored_node.RunBatch(node_specs, ParallelOptions{4, 5});
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  for (size_t i = 0; i < node_specs.size(); ++i) {
+    EXPECT_EQ(parallel->results[i].results, node_want->results[i].results)
+        << "spec=" << i << " (parallel)";
+  }
+  EXPECT_EQ(sw.pool->num_pinned(), 0u);
+
+  EngineSources edge_sources;
+  edge_sources.graph = sw.view.get();
+  edge_sources.edge_points = &w->edge_points;
+  edge_sources.knn = &w->edge_knn;
+  edge_sources.pool = sw.pool.get();
+  RknnEngine stored_edge = RknnEngine::Create(edge_sources).ValueOrDie();
+  auto edge_serial = stored_edge.RunBatch(edge_specs);
+  ASSERT_TRUE(edge_serial.ok()) << edge_serial.status().ToString();
+  for (size_t i = 0; i < edge_specs.size(); ++i) {
+    EXPECT_EQ(edge_serial->results[i].results,
+              edge_want->results[i].results)
+        << "spec=" << i;
+  }
+  auto edge_parallel =
+      stored_edge.RunBatch(edge_specs, ParallelOptions{4, 3});
+  ASSERT_TRUE(edge_parallel.ok()) << edge_parallel.status().ToString();
+  for (size_t i = 0; i < edge_specs.size(); ++i) {
+    EXPECT_EQ(edge_parallel->results[i].results,
+              edge_want->results[i].results)
+        << "spec=" << i << " (parallel)";
+  }
+  EXPECT_EQ(sw.pool->num_pinned(), 0u);
 }
 
 // Bit-for-bit comparison of two hub point indexes: every counter and

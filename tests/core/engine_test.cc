@@ -278,6 +278,33 @@ TEST(EngineBatchTest, NoWorkspaceAllocationOnceWarm) {
   EXPECT_EQ(second.stats.queries, specs.size());
 }
 
+TEST(EngineBatchTest, EagerBatchesVerifyWithoutAllocationOnceWarm) {
+  // Eager and eager-M verify their candidates through NnSearcher::Verify,
+  // whose competitor list is pooled searcher scratch: once warm, a batch
+  // over every node query kind and several k grows nothing.
+  auto w = MakeWorld(6, 3);
+  Rng rng(41);
+  for (Algorithm algo : {Algorithm::kEager, Algorithm::kEagerM}) {
+    std::vector<QuerySpec> specs;
+    for (QueryKind kind :
+         {QueryKind::kMonochromatic, QueryKind::kBichromatic,
+          QueryKind::kContinuous}) {
+      for (int k : {1, 2, 4}) {
+        auto part = MakeSpecs(*w, kind, algo, k, 10, rng);
+        specs.insert(specs.end(), part.begin(), part.end());
+      }
+    }
+    RknnEngine engine = NodeEngine(*w);
+    auto warm = engine.RunBatch(specs).ValueOrDie();
+    auto second = engine.RunBatch(specs).ValueOrDie();
+    EXPECT_EQ(second.stats.workspace_grows, 0u)
+        << AlgorithmName(algo) << ": warm batch reallocated workspace "
+        << "buffers (first pass grew " << warm.stats.workspace_grows
+        << " times)";
+    EXPECT_GT(second.stats.search.verify_calls, 0u) << AlgorithmName(algo);
+  }
+}
+
 TEST(EngineBatchTest, UnrestrictedBatchNoAllocationOnceWarm) {
   auto w = MakeWorld(8, 3);
   Rng rng(5);

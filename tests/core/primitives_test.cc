@@ -165,6 +165,25 @@ TEST(VerifyTest, InvalidCandidateFails) {
   EXPECT_FALSE(searcher.Verify(0, 1, {99}, kInvalidPoint, nullptr).ok());
 }
 
+TEST(VerifyTest, CompetitorScratchIsCountedAndReused) {
+  // Verify keeps its competitor list in searcher scratch: the footprint
+  // reports it, and a warm searcher does not grow on repeat calls.
+  auto f = PaperExample();
+  graph::GraphView view(&f.g);
+  NnSearcher searcher(&view, &f.points);
+  // p1 settles the query (d = 7) before meeting any competitor.
+  ASSERT_TRUE(searcher.Verify(0, 2, {3}, kInvalidPoint, nullptr).ok());
+  const size_t no_competitor = searcher.CapacityFootprint();
+  // p3 meets p1 (d = 8) before the query (d = 9).
+  ASSERT_TRUE(searcher.Verify(2, 2, {3}, kInvalidPoint, nullptr).ok());
+  const size_t one_competitor = searcher.CapacityFootprint();
+  EXPECT_GT(one_competitor, no_competitor);
+  for (int k : {2, 1, 3, 1000000}) {
+    ASSERT_TRUE(searcher.Verify(2, k, {3}, kInvalidPoint, nullptr).ok());
+    EXPECT_EQ(searcher.CapacityFootprint(), one_competitor) << "k=" << k;
+  }
+}
+
 TEST(StampedStructuresTest, ResetInvalidatesEntries) {
   StampedDistances d;
   d.Reset(4);

@@ -2,11 +2,13 @@
 // held cursor leases squeeze a buffer-pool shard's free-frame count
 // below kLeaseShardFreeFrameFloor, lease_friendly(page) flips to false
 // and NEW scans degrade to copy-and-unpin — so a fleet of held cursors
-// can never pin a shard down into ResourceExhausted. Without the guard,
-// the scenario below (more single-page adjacency lists than frames, one
-// shard, every scan's cursor kept alive) exhausts the pool on the 33rd
-// scan; with it, every scan succeeds and the shard always keeps frames
-// free for nested expansion pins.
+// can never pin a shard down into ResourceExhausted. LabelFile is the
+// only reader that holds pins across calls (zero-copy label spans), so
+// the scenario runs over stored hub labels: far more single-page labels
+// on distinct pages than frames, one shard, every scan's cursor kept
+// alive. Without the guard the pool runs dry after 32 distinct pages;
+// with it, every scan succeeds and the shard always keeps frames free
+// for nested expansion pins.
 
 #include <gtest/gtest.h>
 
@@ -14,108 +16,103 @@
 #include <memory>
 #include <vector>
 
-#include "graph/graph.h"
+#include "gen/road_network.h"
 #include "graph/network_view.h"
+#include "index/hub_label.h"
+#include "index/label_file.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
-#include "storage/graph_file.h"
-#include "storage/stored_graph.h"
 
 namespace grnn::storage {
 namespace {
 
-// 40-node circulant graph, degree 24: each adjacency list fills 384 of
-// a 512-byte page's 496 record bytes, so (with boundary padding) every
-// node owns exactly one page — 40 single-page lists.
-graph::Graph CirculantGraph() {
-  std::vector<Edge> edges;
-  const NodeId n = 40;
-  for (NodeId i = 0; i < n; ++i) {
-    for (NodeId d = 1; d <= 12; ++d) {
-      edges.push_back({i, (i + d) % n, 1.0 + d});
-    }
-  }
-  for (Edge& e : edges) {
-    if (e.u > e.v) {
-      std::swap(e.u, e.v);
-    }
-  }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return graph::Graph::FromEdges(n, edges).ValueOrDie();
+constexpr size_t kPageBytes = 512;
+constexpr size_t kSlotsPerPage =
+    (kPageBytes - index::kLabelPageHeaderBytes) / index::kLabelRecordBytes;
+
+index::HubLabelIndex RoadLabels() {
+  gen::RoadConfig cfg;
+  cfg.num_nodes = 300;
+  cfg.seed = 3;
+  auto g = gen::GenerateRoadNetwork(cfg).ValueOrDie().g;
+  graph::GraphView view(&g);
+  return index::HubLabelBuilder::Build(view).ValueOrDie();
 }
 
-TEST(LeasePressure, HeldCursorsCannotExhaustAOneShardPool) {
-  auto g = CirculantGraph();
-  MemoryDiskManager disk(512);
-  auto file =
-      GraphFile::Build(g, &disk, GraphFileOptions{}).ValueOrDie();
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    ASSERT_EQ(file.PagesSpanned(v), 1u) << "node " << v;
-  }
+TEST(LeasePressure, HeldLabelCursorsCannotExhaustAOneShardPool) {
+  auto labels = RoadLabels();
+  MemoryDiskManager disk(kPageBytes);
+  auto file = index::LabelFile::Build(labels, &disk).ValueOrDie();
+  ASSERT_GT(file.num_pages(), 4 * kMinFramesPerShardForLease);
 
   // One shard, 32 frames: statically lease-friendly (>=
-  // kMinFramesPerShardForLease), but fewer frames than lists — held
-  // leases alone could pin down every frame without the guard.
+  // kMinFramesPerShardForLease), but far fewer frames than data pages —
+  // held leases alone could pin down every frame without the guard.
   BufferPool pool(&disk, 32, ReplacementPolicy::kLru, 1);
   ASSERT_TRUE(pool.lease_friendly());
-  StoredGraph view(&file, &pool);
+  index::StoredLabelIndex stored(&file, &pool);
 
-  // Scan every node through its own long-lived cursor, keeping all
-  // spans alive. Every scan must succeed; the guard caps how many can
-  // actually lease.
-  std::vector<std::unique_ptr<graph::NeighborCursor>> cursors;
+  // Scan every single-page label through its own long-lived cursor,
+  // keeping all spans alive. Every scan must succeed and the floor must
+  // hold after each one; the guard caps how many frames can be leased.
+  std::vector<std::unique_ptr<index::LabelCursor>> cursors;
   size_t leased = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    cursors.push_back(std::make_unique<graph::NeighborCursor>());
-    auto span = view.Scan(v, *cursors.back());
+  NodeId degraded = kInvalidNode;
+  for (NodeId v = 0; v < labels.num_nodes(); ++v) {
+    const auto want = labels.Label(v);
+    if (want.empty() || want.size() > kSlotsPerPage) {
+      continue;
+    }
+    cursors.push_back(std::make_unique<index::LabelCursor>());
+    auto span = stored.Scan(v, *cursors.back());
     ASSERT_TRUE(span.ok()) << "node " << v << ": "
                            << span.status().ToString();
-    ASSERT_EQ(span->size(), g.Neighbors(v).size());
-    EXPECT_TRUE(std::equal(span->begin(), span->end(),
-                           g.Neighbors(v).begin()))
+    EXPECT_TRUE(
+        std::equal(span->begin(), span->end(), want.begin(), want.end()))
         << "node " << v;
-    leased += cursors.back()->held_pins();
+    ASSERT_LE(pool.num_pinned(),
+              pool.capacity() - kLeaseShardFreeFrameFloor)
+        << "node " << v;
+    if (cursors.back()->held_pins() == 0) {
+      degraded = v;
+    } else {
+      ++leased;
+    }
   }
-  // The floor held: leases stopped before the shard ran dry.
-  EXPECT_LE(leased, pool.capacity() - kLeaseShardFreeFrameFloor);
-  EXPECT_GT(leased, 0u);
-  EXPECT_LT(leased, static_cast<size_t>(g.num_nodes()))
+  const size_t pinned = pool.num_pinned();
+  EXPECT_EQ(pinned, pool.capacity() - kLeaseShardFreeFrameFloor)
+      << "held leases should have squeezed the shard to the floor";
+  EXPECT_GE(leased, pinned);
+  ASSERT_NE(degraded, kInvalidNode)
       << "some scans should have degraded to copy mode";
-  EXPECT_EQ(pool.num_pinned(), leased);
 
   // Under pressure a new scan of an unleased page degrades to copy
   // mode: its own pin would push the shard below the floor.
   {
-    graph::NeighborCursor probe;
-    const NodeId degraded = static_cast<NodeId>(g.num_nodes() - 1);
-    auto span = view.Scan(degraded, probe);
+    index::LabelCursor probe;
+    auto span = stored.Scan(degraded, probe);
     ASSERT_TRUE(span.ok());
     EXPECT_EQ(probe.held_pins(), 0u);
   }
 
-  // A whole extra pass over the graph still succeeds without a single
-  // ResourceExhausted, spans correct.
-  graph::NeighborCursor extra;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    auto span = view.Scan(v, extra);
+  // A whole extra pass over every label (straddling ones included)
+  // still succeeds without a single ResourceExhausted, spans correct.
+  index::LabelCursor extra;
+  for (NodeId v = 0; v < labels.num_nodes(); ++v) {
+    auto span = stored.Scan(v, extra);
     ASSERT_TRUE(span.ok()) << "node " << v << ": "
                            << span.status().ToString();
-    EXPECT_TRUE(std::equal(span->begin(), span->end(),
-                           g.Neighbors(v).begin()));
+    const auto want = labels.Label(v);
+    EXPECT_TRUE(
+        std::equal(span->begin(), span->end(), want.begin(), want.end()));
   }
   extra.Reset();
-  EXPECT_EQ(pool.num_pinned(), leased);
-  EXPECT_LE(pool.num_pinned(),
-            pool.capacity() - kLeaseShardFreeFrameFloor);
+  EXPECT_EQ(pool.num_pinned(), pinned);
 
   // Dropping the held cursors drains the pressure: leases come back.
   cursors.clear();
   EXPECT_EQ(pool.num_pinned(), 0u);
-  EXPECT_TRUE(pool.lease_friendly(file.first_page()));
-  auto span = view.Scan(0, extra);
+  auto span = stored.Scan(degraded, extra);
   ASSERT_TRUE(span.ok());
   EXPECT_EQ(extra.held_pins(), 1u);
   extra.Reset();
@@ -123,10 +120,9 @@ TEST(LeasePressure, HeldCursorsCannotExhaustAOneShardPool) {
 }
 
 TEST(LeasePressure, ProbeHonoursStaticFloorAndUnbufferedPools) {
-  auto g = CirculantGraph();
-  MemoryDiskManager disk(512);
-  auto file =
-      GraphFile::Build(g, &disk, GraphFileOptions{}).ValueOrDie();
+  auto labels = RoadLabels();
+  MemoryDiskManager disk(kPageBytes);
+  auto file = index::LabelFile::Build(labels, &disk).ValueOrDie();
   {
     // Below the static per-shard budget: never lease-friendly,
     // regardless of pressure.
